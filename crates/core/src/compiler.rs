@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use raella_nn::matrix::{Act, MatrixLayer};
+use raella_nn::matrix::MatrixLayer;
 use raella_nn::quant::OutputQuant;
 use raella_xbar::noise::NoiseRng;
 use raella_xbar::slicing::{Slice, Slicing};
@@ -21,7 +21,7 @@ use crate::accuracy::FidelityReport;
 use crate::adaptive;
 use crate::center::{offsets, optimal_center};
 use crate::config::{RaellaConfig, WeightEncoding};
-use crate::engine::{run_batch_parallel, run_batch_parallel_at_age, RunStats};
+use crate::engine::{run_batch_parallel_at_age, RunStats};
 use crate::error::CoreError;
 
 /// Filters per cache-blocked column panel in the packed level layout
@@ -389,40 +389,13 @@ impl CompiledLayer {
             .sum()
     }
 
-    /// Runs a batch of input vectors through the analog engine, collecting
-    /// statistics into `stats`. Vectors fan out across worker threads;
-    /// per-vector noise streams are derived from `noise_seed`, so results
-    /// are bit-identical at any thread count (see
-    /// [`crate::engine::run_batch_parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len()` is not a multiple of `filter_len`.
-    pub fn run(&self, inputs: &[Act], stats: &mut RunStats, noise_seed: u64) -> Vec<u8> {
-        run_batch_parallel(self, inputs, stats, noise_seed)
-    }
-
     /// Compares analog outputs against the integer reference on `vectors`
-    /// fresh synthetic input vectors and reports fidelity (§4.2.1 metric).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible but returns `Result` to keep room for
-    /// configuration-dependent failure reporting.
-    pub fn check_fidelity(
-        &self,
-        layer: &MatrixLayer,
-        vectors: usize,
-    ) -> Result<FidelityReport, CoreError> {
-        self.check_fidelity_at_age(layer, vectors, 0)
-    }
-
-    /// [`CompiledLayer::check_fidelity`] on a device aged `age` served
-    /// vectors since its last programming — how the server's watchdog
-    /// samples degradation mid-lifetime. The reference stays the pristine
-    /// integer model, so both programming error and accumulated relaxation
-    /// show up as real fidelity loss. Age 0 is exactly
-    /// [`CompiledLayer::check_fidelity`].
+    /// fresh synthetic input vectors and reports fidelity (§4.2.1 metric),
+    /// on a device aged `age` served vectors since its last programming
+    /// (pass `0` for a freshly programmed array) — the server's watchdog
+    /// samples degradation mid-lifetime this way. The reference stays the
+    /// pristine integer model, so both programming error and accumulated
+    /// relaxation show up as real fidelity loss.
     ///
     /// # Errors
     ///

@@ -18,20 +18,26 @@
 //!
 //! # Execution model
 //!
-//! The unit of work is one input vector. [`run_vector`] is a pure kernel:
+//! The unit of work is one input vector. The per-vector kernel is pure:
 //! it reads the compiled layer and one vector, scribbles only in a
 //! caller-owned [`VectorScratch`] (no per-vector allocation), writes the
 //! vector's outputs into a caller-provided slice, and returns a local
 //! [`RunStats`] delta. Nothing is shared between vectors, so
-//! [`run_batch_parallel`] fans vectors across threads and merges the
-//! deltas — producing output bytes and statistics bit-identical to serial
-//! [`run_batch`] at any thread count, noisy or not.
+//! [`run_batch_parallel_at_age`] fans vectors across threads and merges
+//! the deltas — producing output bytes and statistics bit-identical to
+//! serial [`run_batch_at_age`] at any thread count, noisy or not.
+//!
+//! Each kind of work has one entry point, and every entry point takes all
+//! of its coordinates explicitly: the batch's first global vector index
+//! and the device age (pass `0, 0` for a fresh device and a batch that
+//! starts at vector 0). Outputs are a pure function of `(seed, vector,
+//! group, generation, age)`.
 //!
 //! # Row-range execution (tile sharding)
 //!
 //! A vector's work further decomposes along the layer's crossbar row
-//! groups. [`run_vector_groups`] computes the partial accumulators of any
-//! contiguous group range (the work one simulated tile owns), and
+//! groups. [`run_vector_groups_at_age`] computes the partial accumulators
+//! of any contiguous group range (the work one simulated tile owns), and
 //! [`finalize_vector`] turns fully reduced accumulators into requantized
 //! outputs. Noise is drawn from per-`(vector, row-group)` counter-derived
 //! substreams ([`NoiseRng::for_substream`]`(seed, vector_index, group)`) —
@@ -52,19 +58,18 @@
 //!
 //! 1. **Accumulation** — one sweep over each sliced input plane feeds the
 //!    whole panel's `i32` window sums from sequential memory (the
-//!    innermost level×plane products autovectorize; enable the `simd`
-//!    cargo feature to force fixed-lane chunking). Device charge folds in
-//!    the same pass from per-row mass sums.
+//!    innermost level×plane products autovectorize). Device charge folds
+//!    in the same pass from per-row mass sums.
 //! 2. **Conversion** — ADC converts, speculation checks, recovery, and
 //!    noise draws replay *filter-major, column by column*, in exactly the
 //!    order of the scalar reference kernel.
 //!
 //! The phase split is safe because analog sums are pure integer
 //! reductions (commutative even under wraparound) and noise enters only
-//! at conversion; [`run_vector_groups_reference`] retains the pre-panel
-//! scalar kernel, and `crates/core/tests/panel_oracle.rs` pins the two
-//! against each other — outputs, statistics, and noise-stream consumption
-//! bit for bit.
+//! at conversion; [`run_vector_groups_reference_at_age`] retains the
+//! pre-panel scalar kernel, and `crates/core/tests/panel_oracle.rs` pins
+//! the two against each other — outputs, statistics, and noise-stream
+//! consumption bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -179,27 +184,9 @@ fn dot_charge(xs: &[u16], levels: &[i16]) -> (i64, i64) {
 /// Adds `x · levels[i]` into `dst[i]` across one packed panel row, in
 /// `i32` — the exact accumulation width (and per-lane term order) of
 /// [`dot`], so panel window sums are bit-identical to per-column dots.
-///
-/// With the `simd` feature the loop is chunked into fixed 8-lane blocks to
-/// guarantee vectorization where the autovectorizer balks; the per-lane
-/// arithmetic — and therefore the result — is identical either way.
 #[inline]
 fn axpy_i32(dst: &mut [i32], x: i32, levels: &[i16]) {
     debug_assert_eq!(dst.len(), levels.len());
-    #[cfg(feature = "simd")]
-    {
-        let mut d = dst.chunks_exact_mut(8);
-        let mut l = levels.chunks_exact(8);
-        for (dc, lc) in (&mut d).zip(&mut l) {
-            for i in 0..8 {
-                dc[i] += x * i32::from(lc[i]);
-            }
-        }
-        for (d1, &l1) in d.into_remainder().iter_mut().zip(l.remainder()) {
-            *d1 += x * i32::from(l1);
-        }
-    }
-    #[cfg(not(feature = "simd"))]
     for (d, &l) in dst.iter_mut().zip(levels) {
         *d += x * i32::from(l);
     }
@@ -210,20 +197,6 @@ fn axpy_i32(dst: &mut [i32], x: i32, levels: &[i16]) {
 #[inline]
 fn axpy_abs_i32(dst: &mut [i32], x: i32, levels: &[i16]) {
     debug_assert_eq!(dst.len(), levels.len());
-    #[cfg(feature = "simd")]
-    {
-        let mut d = dst.chunks_exact_mut(8);
-        let mut l = levels.chunks_exact(8);
-        for (dc, lc) in (&mut d).zip(&mut l) {
-            for i in 0..8 {
-                dc[i] += x * i32::from(lc[i].unsigned_abs());
-            }
-        }
-        for (d1, &l1) in d.into_remainder().iter_mut().zip(l.remainder()) {
-            *d1 += x * i32::from(l1.unsigned_abs());
-        }
-    }
-    #[cfg(not(feature = "simd"))]
     for (d, &l) in dst.iter_mut().zip(levels) {
         *d += x * i32::from(l.unsigned_abs());
     }
@@ -260,42 +233,23 @@ fn device_charge(mass: &[u16], levels: &[i16]) -> u64 {
         .sum()
 }
 
-/// Runs a batch of input vectors through a compiled layer, serially.
+/// Runs a batch of input vectors through a compiled layer, serially, on a
+/// device aged `base_age` served vectors since its last programming.
 ///
 /// Input layout matches [`MatrixLayer::reference_outputs`]; the output has
-/// `filters` values per vector. Per-vector noise streams are derived from
-/// `noise_seed` and the vector's index, so the result is bit-identical to
-/// [`run_batch_parallel`] with the same arguments.
+/// `filters` values per vector. Vector `i` of the batch carries the global
+/// index `first_vector + i`: its noise substreams derive from
+/// `(noise_seed, first_vector + i)` and it runs at device age
+/// `base_age + first_vector + i`. Streaming engines advance
+/// `first_vector` for fresh noise per batch; a batch split at any point
+/// and resumed with the same indices reproduces the whole batch exactly.
+/// Pass `0, 0` for a fresh device and a batch that starts at vector 0.
+/// The result is bit-identical to [`run_batch_parallel_at_age`] with the
+/// same arguments.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len()` is not a multiple of the layer's `filter_len`.
-pub fn run_batch(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-) -> Vec<u8> {
-    run_batch_at(layer, inputs, stats, noise_seed, 0)
-}
-
-/// [`run_batch`] with the batch's first global vector index, for engines
-/// that stream multiple batches and want fresh noise per batch.
-pub fn run_batch_at(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-    first_vector: u64,
-) -> Vec<u8> {
-    run_batch_at_age(layer, inputs, stats, noise_seed, first_vector, 0)
-}
-
-/// [`run_batch_at`] on a device aged `base_age` served vectors since its
-/// last programming. Age 0 is bit-identical to [`run_batch_at`]; each
-/// vector `i` runs at device age `base_age + first_vector + i`, so a batch
-/// split at any point and resumed with the same indices reproduces the
-/// whole batch exactly.
 pub fn run_batch_at_age(
     layer: &CompiledLayer,
     inputs: &[Act],
@@ -329,44 +283,21 @@ pub fn run_batch_at_age(
 /// Row-range batch entry point for tile-sharded execution: accumulates the
 /// partial sums of the row groups in `groups` for every vector of `inputs`
 /// into `acc` (`n_vectors × filters` signed accumulators, zeroed here),
-/// merging the range's crossbar statistics into `stats`.
+/// merging the range's crossbar statistics into `stats`. Vector indices
+/// and device age follow [`run_batch_at_age`].
 ///
 /// Summing every range of a partition's `acc` buffers elementwise (the
 /// inter-tile accumulator reduction — exact `i64` addition) and calling
-/// [`finalize_vector`] per vector reproduces [`run_batch_at`] bit for bit,
-/// outputs and merged statistics alike, for *any* partition of
-/// `0..group_count` — noise substreams are keyed per `(vector, group)`,
-/// never by read order.
+/// [`finalize_vector`] per vector reproduces [`run_batch_at_age`] bit for
+/// bit, outputs and merged statistics alike, for *any* partition of
+/// `0..group_count` at any age — noise substreams are keyed per
+/// `(vector, group)`, never by read order.
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len()` is not a multiple of the layer's `filter_len`,
 /// if `acc.len()` is not `n_vectors × filters`, or if `groups` is out of
 /// bounds.
-pub fn run_batch_groups_at(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    groups: std::ops::Range<usize>,
-    stats: &mut RunStats,
-    noise_seed: u64,
-    first_vector: u64,
-    acc: &mut [i64],
-) {
-    run_batch_groups_at_age(
-        layer,
-        inputs,
-        groups,
-        stats,
-        noise_seed,
-        first_vector,
-        0,
-        acc,
-    );
-}
-
-/// [`run_batch_groups_at`] on a device aged `base_age` served vectors —
-/// the sharded row-range path at any point in the device's lifetime. Age 0
-/// is bit-identical to [`run_batch_groups_at`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch_groups_at_age(
     layer: &CompiledLayer,
@@ -408,40 +339,16 @@ pub fn run_batch_groups_at_age(
 /// Runs a batch of input vectors through a compiled layer, fanning vectors
 /// across worker threads.
 ///
-/// Bit-identical to [`run_batch`] — outputs *and* statistics — at any
-/// thread count (set `RAELLA_THREADS` to pin it), including under a noisy
-/// [`NoiseModel`], because each vector's noise stream depends only on
-/// `(noise_seed, vector index)` and [`RunStats::merge`] is commutative.
-/// This is the default path used by [`CompiledLayer::check_fidelity`] and
-/// [`RaellaEngine`].
+/// Bit-identical to [`run_batch_at_age`] — outputs *and* statistics — at
+/// any thread count (set `RAELLA_THREADS` to pin it), including under a
+/// noisy [`NoiseModel`] and at any age, because each vector's noise
+/// stream and drift epoch depend only on `(noise_seed, vector index,
+/// base_age)` and [`RunStats::merge`] is commutative. This is the path
+/// used by [`CompiledLayer::check_fidelity_at_age`] and [`RaellaEngine`].
 ///
 /// # Panics
 ///
 /// Panics if `inputs.len()` is not a multiple of the layer's `filter_len`.
-pub fn run_batch_parallel(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-) -> Vec<u8> {
-    run_batch_parallel_at(layer, inputs, stats, noise_seed, 0)
-}
-
-/// [`run_batch_parallel`] with the batch's first global vector index.
-pub fn run_batch_parallel_at(
-    layer: &CompiledLayer,
-    inputs: &[Act],
-    stats: &mut RunStats,
-    noise_seed: u64,
-    first_vector: u64,
-) -> Vec<u8> {
-    run_batch_parallel_at_age(layer, inputs, stats, noise_seed, first_vector, 0)
-}
-
-/// [`run_batch_parallel_at`] on a device aged `base_age` served vectors.
-/// Bit-identical to [`run_batch_at_age`] at any thread count: a vector's
-/// drift epoch depends only on `base_age + vector index`, never on which
-/// worker runs it.
 pub fn run_batch_parallel_at_age(
     layer: &CompiledLayer,
     inputs: &[Act],
@@ -497,35 +404,17 @@ fn batch_vectors(layer: &CompiledLayer, inputs: &[Act]) -> usize {
 }
 
 /// The pure per-vector kernel: runs one input vector through the layer's
-/// crossbar schedule, writing `layer.filters()` outputs into `out` and
-/// returning this vector's statistics delta.
+/// crossbar schedule at device age `base_age + vector_index`, writing
+/// `layer.filters()` outputs into `out` and returning this vector's
+/// statistics delta.
 ///
 /// All working memory lives in `scratch` (reused across calls); the only
 /// other state read is the compiled layer and the `(noise_seed,
 /// vector_index)`-derived noise substreams, so calls are independent and
 /// may run on any thread in any order. Implemented as
-/// [`run_vector_groups`] over the full group range followed by
+/// [`run_vector_groups_at_age`] over the full group range followed by
 /// [`finalize_vector`] — the sharded row-range path is the same code.
-///
-/// # Panics
-///
-/// Panics if `input.len() != layer.filter_len()` or
-/// `out.len() != layer.filters()`.
-pub fn run_vector(
-    layer: &CompiledLayer,
-    input: &[Act],
-    scratch: &mut VectorScratch,
-    noise_seed: u64,
-    vector_index: u64,
-    out: &mut [u8],
-) -> RunStats {
-    run_vector_at_age(layer, input, scratch, noise_seed, vector_index, 0, out)
-}
-
-/// [`run_vector`] on a device aged `base_age` served vectors since its
-/// last programming: the vector runs at device age
-/// `base_age + vector_index`. Age 0 is bit-identical to [`run_vector`].
-pub fn run_vector_at_age(
+fn run_vector_at_age(
     layer: &CompiledLayer,
     input: &[Act],
     scratch: &mut VectorScratch,
@@ -550,9 +439,9 @@ pub fn run_vector_at_age(
     stats
 }
 
-/// The row-range kernel behind [`run_vector`] and tile-sharded execution:
-/// accumulates the partial sums of the crossbar row groups in `groups`
-/// into `scratch.acc` (`+=` per filter — the caller zeroes the
+/// The row-range kernel behind every batch entry point and tile-sharded
+/// execution: accumulates the partial sums of the crossbar row groups in
+/// `groups` into `scratch.acc` (`+=` per filter — the caller zeroes the
 /// accumulators) and returns the range's statistics delta (crossbar
 /// cycles, DAC pulses, ADC converts, speculation outcomes, device charge
 /// — everything attributable to these row groups).
@@ -564,30 +453,19 @@ pub fn run_vector_at_age(
 /// may run on different threads (or simulated tiles) in any order and
 /// still reproduce the monolithic run bit for bit.
 ///
+/// The device is aged `base_age` served vectors: the drift epoch is
+/// `lifetime.drift_epoch(base_age + vector_index)`, the effective noise
+/// level compounds the static model with the epoch's relaxation sigma,
+/// and every group substream is re-keyed by the epoch
+/// ([`NoiseRng::for_substream_aged`]). Epoch 0 — in particular any age
+/// under a non-drifting lifetime — reads at the static noise level.
+/// Results stay a pure function of `(seed, vector index, group, age)`, so
+/// sharding and threading remain pure scheduling at every age.
+///
 /// # Panics
 ///
 /// Panics if `input.len() != layer.filter_len()` or `groups` exceeds
 /// [`CompiledLayer::group_count`].
-pub fn run_vector_groups(
-    layer: &CompiledLayer,
-    input: &[Act],
-    groups: std::ops::Range<usize>,
-    scratch: &mut VectorScratch,
-    noise_seed: u64,
-    vector_index: u64,
-) -> RunStats {
-    run_vector_groups_at_age(layer, input, groups, scratch, noise_seed, vector_index, 0)
-}
-
-/// [`run_vector_groups`] on a device aged `base_age` served vectors: the
-/// drift epoch is `lifetime.drift_epoch(base_age + vector_index)`, the
-/// effective noise level compounds the static model with the epoch's
-/// relaxation sigma, and every group substream is re-keyed by the epoch
-/// ([`NoiseRng::for_substream_aged`]). Epoch 0 — in particular any age
-/// under a non-drifting lifetime — is bit-identical to
-/// [`run_vector_groups`]. Results stay a pure function of
-/// `(seed, vector index, group, age)`, so sharding and threading remain
-/// pure scheduling at every age.
 #[allow(clippy::too_many_arguments)]
 pub fn run_vector_groups_at_age(
     layer: &CompiledLayer,
@@ -847,33 +725,20 @@ pub fn run_vector_groups_at_age(
 }
 
 /// The pre-panel scalar kernel, retained verbatim as the bit-exactness
-/// oracle for [`run_vector_groups`].
+/// oracle for [`run_vector_groups_at_age`].
 ///
 /// Processes one column (filter × weight slice) at a time, re-scanning the
 /// sliced planes per column, exactly as the engine did before panel
-/// blocking. `crates/core/tests/panel_oracle.rs` pins the panel kernel
-/// against this function — outputs *and* full statistics, ideal and
-/// noisy, both input modes — so any panel miscount or reordered noise
-/// draw is caught against the original code path. Not used on the hot
-/// path.
+/// blocking, and applies the identical epoch/noise/stream derivation at
+/// device age `base_age + vector_index`.
+/// `crates/core/tests/panel_oracle.rs` pins the panel kernel against this
+/// function — outputs *and* full statistics, ideal, noisy and drifting,
+/// both input modes — so any panel miscount or reordered noise draw is
+/// caught against the original code path. Not used on the hot path.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_vector_groups`].
-pub fn run_vector_groups_reference(
-    layer: &CompiledLayer,
-    input: &[Act],
-    groups: std::ops::Range<usize>,
-    scratch: &mut VectorScratch,
-    noise_seed: u64,
-    vector_index: u64,
-) -> RunStats {
-    run_vector_groups_reference_at_age(layer, input, groups, scratch, noise_seed, vector_index, 0)
-}
-
-/// [`run_vector_groups_reference`] at device age `base_age + vector_index`
-/// — the scalar oracle for [`run_vector_groups_at_age`], applying the
-/// identical epoch/noise/stream derivation column by column.
+/// Panics under the same conditions as [`run_vector_groups_at_age`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_vector_groups_reference_at_age(
     layer: &CompiledLayer,
@@ -1103,7 +968,7 @@ fn count_crossbar_events(
 
 /// The pre-panel event counter, rescanning the sliced planes per group —
 /// kept as the definitional oracle behind [`count_crossbar_events`], used
-/// only by [`run_vector_groups_reference`].
+/// only by [`run_vector_groups_reference_at_age`].
 fn count_crossbar_events_scanning(
     cfg: &RaellaConfig,
     sliced: &SlicedView<'_>,
@@ -1254,7 +1119,7 @@ fn run_column_bitserial(
 /// caching layers on first use. Drop-in replacement for the integer
 /// reference engine in graph execution — the accuracy experiments' engine.
 ///
-/// Batches execute through [`run_batch_parallel`]. Results are
+/// Batches execute through [`run_batch_parallel_at_age`]. Results are
 /// deterministic for a given construction seed and call sequence: the
 /// engine assigns every processed vector a global index, and each vector's
 /// noise stream is derived from `(seed, index)` alone.
@@ -1339,12 +1204,13 @@ impl MatVecEngine for RaellaEngine {
             .cache
             .get_or_compile(layer, &self.cfg)
             .expect("engine configuration was validated at construction");
-        let out = run_batch_parallel_at(
+        let out = run_batch_parallel_at_age(
             &compiled,
             inputs,
             &mut self.stats,
             self.noise_seed,
             self.next_vector,
+            0,
         );
         self.next_vector += (inputs.len() / layer.filter_len()) as u64;
         out
@@ -1377,7 +1243,7 @@ mod tests {
             CompiledLayer::with_slicing(&layer, Slicing::raella_default_weights(), &cfg).unwrap();
         let inputs = layer.sample_inputs(6, 3);
         let mut stats = RunStats::default();
-        let analog = run_batch(&compiled, &inputs, &mut stats, 0);
+        let analog = run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         assert_eq!(analog, layer.reference_outputs(&inputs));
     }
 
@@ -1395,8 +1261,8 @@ mod tests {
         let mut s1 = RunStats::default();
         let mut s2 = RunStats::default();
         assert_eq!(
-            run_batch(&spec, &inputs, &mut s1, 0),
-            run_batch(&bs, &inputs, &mut s2, 0)
+            run_batch_at_age(&spec, &inputs, &mut s1, 0, 0, 0),
+            run_batch_at_age(&bs, &inputs, &mut s2, 0, 0, 0)
         );
     }
 
@@ -1414,8 +1280,8 @@ mod tests {
         let inputs = layer.sample_inputs(4, 5);
         let mut s_spec = RunStats::default();
         let mut s_bs = RunStats::default();
-        run_batch(&spec, &inputs, &mut s_spec, 0);
-        run_batch(&bs, &inputs, &mut s_bs, 0);
+        run_batch_at_age(&spec, &inputs, &mut s_spec, 0, 0, 0);
+        run_batch_at_age(&bs, &inputs, &mut s_bs, 0, 0, 0);
         // Paper §4.3.2: speculation cuts ADC converts by ~60% vs
         // recovery-only; synthetic distributions land in the same regime.
         assert!(
@@ -1439,7 +1305,7 @@ mod tests {
         let compiled = CompiledLayer::with_slicing(&layer, Slicing::uniform(1, 8), &cfg).unwrap();
         let inputs = layer.sample_inputs(3, 7);
         let mut stats = RunStats::default();
-        run_batch(&compiled, &inputs, &mut stats, 0);
+        run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         assert!(stats.spec_failures > 0, "tiny ADC must fail speculation");
         assert!(stats.recovery_converts > 0);
     }
@@ -1455,8 +1321,8 @@ mod tests {
             CompiledLayer::with_slicing(&signed, Slicing::raella_default_weights(), &cfg).unwrap();
         let mut su = RunStats::default();
         let mut ss = RunStats::default();
-        run_batch(&cu, &unsigned.sample_inputs(2, 1), &mut su, 0);
-        run_batch(&cs, &signed.sample_inputs(2, 1), &mut ss, 0);
+        run_batch_at_age(&cu, &unsigned.sample_inputs(2, 1), &mut su, 0, 0, 0);
+        run_batch_at_age(&cs, &signed.sample_inputs(2, 1), &mut ss, 0, 0, 0);
         assert_eq!(ss.events.cycles, 2 * su.events.cycles);
     }
 
@@ -1469,7 +1335,7 @@ mod tests {
             CompiledLayer::with_slicing(&layer, Slicing::raella_default_weights(), &cfg).unwrap();
         let inputs = layer.sample_inputs(5, 2);
         let mut stats = RunStats::default();
-        let analog = run_batch(&compiled, &inputs, &mut stats, 0);
+        let analog = run_batch_at_age(&compiled, &inputs, &mut stats, 0, 0, 0);
         assert_eq!(analog, layer.reference_outputs(&inputs));
     }
 
@@ -1481,7 +1347,7 @@ mod tests {
         let inputs = layer.sample_inputs(3, 3);
         let reference = layer.reference_outputs(&inputs);
         let mut stats = RunStats::default();
-        let noisy = run_batch(&compiled, &inputs, &mut stats, 5);
+        let noisy = run_batch_at_age(&compiled, &inputs, &mut stats, 5, 0, 0);
         assert_ne!(noisy, reference, "8% noise should perturb something");
         let max_err = reference
             .iter()
@@ -1502,8 +1368,8 @@ mod tests {
         let inputs = layer.sample_inputs(12, 21);
         let mut s_serial = RunStats::default();
         let mut s_par = RunStats::default();
-        let serial = run_batch(&compiled, &inputs, &mut s_serial, 3);
-        let parallel = run_batch_parallel(&compiled, &inputs, &mut s_par, 3);
+        let serial = run_batch_at_age(&compiled, &inputs, &mut s_serial, 3, 0, 0);
+        let parallel = run_batch_parallel_at_age(&compiled, &inputs, &mut s_par, 3, 0, 0);
         assert_eq!(serial, parallel);
         assert_eq!(s_serial, s_par);
     }
@@ -1518,14 +1384,21 @@ mod tests {
         let inputs = layer.sample_inputs(4, 2);
         let mut s0 = RunStats::default();
         let mut s1 = RunStats::default();
-        let at0 = run_batch_at(&compiled, &inputs, &mut s0, 7, 0);
-        let at4 = run_batch_at(&compiled, &inputs, &mut s1, 7, 4);
+        let at0 = run_batch_at_age(&compiled, &inputs, &mut s0, 7, 0, 0);
+        let at4 = run_batch_at_age(&compiled, &inputs, &mut s1, 7, 4, 0);
         assert_ne!(at0, at4, "different stream offsets must differ under noise");
         // And the split [0..2)+[2..4) equals the whole [0..4).
         let mut sa = RunStats::default();
         let half = inputs.len() / 2;
-        let mut first = run_batch_at(&compiled, &inputs[..half], &mut sa, 7, 0);
-        first.extend(run_batch_at(&compiled, &inputs[half..], &mut sa, 7, 2));
+        let mut first = run_batch_at_age(&compiled, &inputs[..half], &mut sa, 7, 0, 0);
+        first.extend(run_batch_at_age(
+            &compiled,
+            &inputs[half..],
+            &mut sa,
+            7,
+            2,
+            0,
+        ));
         assert_eq!(first, at0);
         assert_eq!(sa, s0);
     }
@@ -1589,21 +1462,23 @@ mod tests {
                     for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
                         let mut panel_scratch = VectorScratch::for_layer(&compiled);
                         let mut ref_scratch = VectorScratch::for_layer(&compiled);
-                        let ps = run_vector_groups(
+                        let ps = run_vector_groups_at_age(
                             &compiled,
                             input,
                             range.clone(),
                             &mut panel_scratch,
                             9,
                             v as u64,
+                            0,
                         );
-                        let rs = run_vector_groups_reference(
+                        let rs = run_vector_groups_reference_at_age(
                             &compiled,
                             input,
                             range.clone(),
                             &mut ref_scratch,
                             9,
                             v as u64,
+                            0,
                         );
                         assert_eq!(
                             panel_scratch.acc, ref_scratch.acc,
@@ -1645,7 +1520,7 @@ mod tests {
         // static model, stats included.
         let mut s_static = RunStats::default();
         let mut s_fresh = RunStats::default();
-        let out_static = run_batch(&stat, &inputs, &mut s_static, 9);
+        let out_static = run_batch_at_age(&stat, &inputs, &mut s_static, 9, 0, 0);
         let out_fresh = run_batch_at_age(&aged, &inputs, &mut s_fresh, 9, 0, 0);
         assert_eq!(
             out_static, out_fresh,
@@ -1721,6 +1596,6 @@ mod tests {
         }
         let input = vec![1 as Act; 100];
         let mut scratch = VectorScratch::for_layer(&compiled);
-        let _ = run_vector_groups(&compiled, &input, 0..2, &mut scratch, 0, 0);
+        let _ = run_vector_groups_at_age(&compiled, &input, 0..2, &mut scratch, 0, 0, 0);
     }
 }

@@ -7,7 +7,7 @@
 //! and then images stream through [`CompiledModel::run_batch`], which fans
 //! whole images across `std::thread::scope` workers. Per-vector work runs
 //! the cache-blocked panel kernel
-//! ([`run_vector_groups`](crate::engine::run_vector_groups)), so
+//! ([`crate::engine::run_vector_groups_at_age`]), so
 //! single-image latency tracks the CI-gated single-thread engine rate
 //! rather than depending on worker count.
 //!
@@ -325,16 +325,6 @@ impl CompiledModel {
         Ok(BatchResult { outputs, stats })
     }
 
-    /// Top-1 predictions for a batch of images — a thin argmax over
-    /// [`CompiledModel::run_batch`]'s shared execution path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledModel::run_batch`].
-    pub fn predict_batch(&self, images: &[Tensor<u8>]) -> Result<Vec<usize>, CoreError> {
-        Ok(self.run_batch(images)?.predictions())
-    }
-
     /// Runs one image against a caller-pooled arena — the serving hot
     /// path: a long-lived worker (e.g. a [`crate::server::RaellaServer`]
     /// worker thread) keeps one [`ValueArena`] for its lifetime, so
@@ -459,41 +449,23 @@ impl CompiledModel {
 
     /// Re-programs every matrix layer at `generation`: fresh
     /// programming-error draws from pristine weights, same slicings, same
-    /// noise-stream seed (see [`CompiledLayer::reprogram`]). Layer sharing
-    /// is preserved — a layer compiled once and used twice is re-programmed
-    /// once. This is the server's recalibration primitive: swapping the
-    /// result in for the old model restores programming fidelity, and
-    /// resetting the age counter restarts relaxation.
+    /// noise-stream seed (see [`CompiledLayer::reprogram`]). This is
+    /// [`CompiledModel::reprogram_to`] with every layer targeted at
+    /// `generation`, so layer sharing is preserved — a layer compiled once
+    /// and used twice is re-programmed once — and the model-level
+    /// generation becomes `generation`. This is the server's recalibration
+    /// primitive: swapping the result in for the old model restores
+    /// programming fidelity, and resetting the age counter restarts
+    /// relaxation.
     ///
     /// # Errors
     ///
     /// Propagates per-layer compile errors (cannot happen for models built
     /// through [`CompiledModel::compile`]).
     pub fn reprogram(&self, generation: u64) -> Result<Self, CoreError> {
-        let mut cfg = self.cfg.clone();
-        cfg.lifetime.generation = generation;
-        let mut remapped: Vec<(*const CompiledLayer, Arc<CompiledLayer>)> = Vec::new();
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for (mat, old) in self.graph.matrix_layers().into_iter().zip(&self.layers) {
-            let ptr = Arc::as_ptr(old);
-            let fresh = match remapped.iter().find(|(p, _)| *p == ptr) {
-                Some((_, a)) => Arc::clone(a),
-                None => {
-                    let built = Arc::new(old.reprogram(mat, generation)?);
-                    remapped.push((ptr, Arc::clone(&built)));
-                    built
-                }
-            };
-            layers.push(fresh);
-        }
-        Ok(CompiledModel {
-            graph: self.graph.clone(),
-            plan: self.graph.plan()?,
-            layers,
-            noise_seed: self.noise_seed,
-            unique_layers: self.unique_layers,
-            cfg,
-        })
+        let mut fresh = self.reprogram_to(&vec![generation; self.layers.len()])?;
+        fresh.cfg.lifetime.generation = generation;
+        Ok(fresh)
     }
 
     /// Re-programs only the matrix layers named in `layers` (indices into

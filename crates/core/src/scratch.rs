@@ -1,6 +1,8 @@
 //! Reusable per-vector working memory for the execution engine.
 //!
-//! The engine's per-vector kernel ([`crate::engine::run_vector`]) is pure:
+//! The engine's per-vector kernel
+//! ([`crate::engine::run_vector_groups_at_age`] plus
+//! [`crate::engine::finalize_vector`]) is pure:
 //! it reads a compiled layer and one input vector, and writes outputs plus
 //! a local [`crate::engine::RunStats`] delta. All intermediate state — the
 //! sign plane, the speculative and 1b input-slice planes, their mass
@@ -96,7 +98,7 @@ impl VectorScratch {
     }
 
     /// The per-filter `i64` accumulators as last written by
-    /// `run_vector_groups` (or its scalar reference twin) — exposed so
+    /// `run_vector_groups_at_age` (or its scalar reference twin) — exposed so
     /// external oracles can compare kernels without going through
     /// requantization.
     pub fn accumulators(&self) -> &[i64] {

@@ -41,18 +41,20 @@
 //! The queue is optionally depth-bounded, server-wide
 //! ([`ServerBuilder::queue_depth`]) and per model
 //! ([`ServerBuilder::model_queue_depth`]); both default to unbounded.
-//! Admission then has three modes, all drain-safe under
-//! [`RaellaServer::shutdown`]:
+//! Every submission goes through [`RaellaServer::submit_to`], which takes
+//! the model index and one of three [`Admission`] modes, all drain-safe
+//! under [`RaellaServer::shutdown`]:
 //!
-//! * [`RaellaServer::submit`] **blocks** until a slot frees (it errors
+//! * [`Admission::Block`] **blocks** until a slot frees (it errors
 //!   instead of enqueueing if shutdown begins while it waits);
-//! * [`RaellaServer::try_submit`] **fails fast** with
-//!   [`CoreError::QueueFull`];
-//! * [`RaellaServer::submit_timeout`] blocks up to a deadline, then fails
-//!   with [`CoreError::QueueFull`].
+//! * [`Admission::Fail`] **fails fast** with [`CoreError::QueueFull`];
+//! * [`Admission::Deadline`] blocks up to a deadline, then fails with
+//!   [`CoreError::QueueFull`].
 //!
-//! A rejected submission is never enqueued — there is no handle to leak
-//! and nothing for shutdown to drain. [`RaellaServer::submit_many`] is
+//! [`RaellaServer::submit`] and [`RaellaServer::try_submit`] are the
+//! blocking and fail-fast forms for the default (first) model. A rejected
+//! submission is never enqueued — there is no handle to leak and nothing
+//! for shutdown to drain. [`RaellaServer::submit_many`] is
 //! all-or-nothing: it reserves every slot under one lock acquisition and
 //! enqueues the whole stream contiguously, or rejects the entire call
 //! without enqueueing anything.
@@ -272,7 +274,7 @@ impl ServerBuilder {
     /// default — is unbounded. With a bound in place,
     /// [`RaellaServer::submit`] blocks for space,
     /// [`RaellaServer::try_submit`] fails fast, and
-    /// [`RaellaServer::submit_timeout`] waits up to a deadline (see the
+    /// [`Admission::Deadline`] waits up to a deadline (see the
     /// [module docs](crate::server)). Bounding is pure admission control:
     /// accepted requests produce bit-identical results at any bound.
     ///
@@ -887,13 +889,16 @@ impl RequestHandle {
     /// Blocks until the request completes or `timeout` elapses. Returns
     /// `None` on timeout — the handle is untouched and still usable
     /// (wait again, poll, or `.await`). Once this returns `Some`, the
-    /// handle is spent exactly as with [`RequestHandle::try_wait`].
+    /// handle is spent exactly as with [`RequestHandle::try_wait`]. A
+    /// `timeout` past the clock's range (e.g. [`Duration::MAX`]) waits
+    /// without a deadline.
     ///
     /// # Errors
     ///
     /// Same as [`RequestHandle::wait`], surfaced inside the `Some`.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Response, CoreError>> {
-        let deadline = Instant::now() + timeout;
+        // `None`: the timeout is past the clock's range — no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = self.cell.lock();
         loop {
             match std::mem::replace(&mut *state, CellState::Taken) {
@@ -901,16 +906,24 @@ impl RequestHandle {
                 CellState::Taken => return None,
                 pending => {
                     *state = pending;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    let (next, _) = self
-                        .cell
-                        .ready
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state = next;
+                    state = match deadline {
+                        None => self
+                            .cell
+                            .ready
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner),
+                        Some(deadline) => {
+                            let now = Instant::now();
+                            if now >= deadline {
+                                return None;
+                            }
+                            self.cell
+                                .ready
+                                .wait_timeout(state, deadline - now)
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .0
+                        }
+                    };
                 }
             }
         }
@@ -1921,8 +1934,12 @@ fn apply_action(
     Ok(true)
 }
 
-/// How an admission call waits for queue space.
-enum Admission {
+/// How [`RaellaServer::submit_to`] waits for queue space when the queue
+/// is at a configured bound ([`ServerBuilder::queue_depth`] /
+/// [`ServerBuilder::model_queue_depth`]). On an unbounded server every
+/// mode admits immediately.
+#[derive(Debug, Clone, Copy)]
+pub enum Admission {
     /// Block until space frees or shutdown begins.
     Block,
     /// Fail fast with [`CoreError::QueueFull`].
@@ -2096,7 +2113,7 @@ impl ServerMetrics {
 /// let cfg = RaellaConfig { search_vectors: 2, ..RaellaConfig::default() };
 ///
 /// let server = RaellaServer::builder().model(&g, &cfg).build()?;
-/// let handles = server.submit_many((0..3).map(|_| Tensor::zeros(&[2, 6, 6])))?;
+/// let handles = server.submit_many(0, (0..3).map(|_| Tensor::zeros(&[2, 6, 6])))?;
 /// let responses = RaellaServer::wait_all(handles)?;
 /// assert_eq!(responses.len(), 3);
 /// assert_eq!(responses[0].output(), responses[2].output());
@@ -2118,105 +2135,61 @@ impl RaellaServer {
         ServerBuilder::new()
     }
 
-    /// Submits one image to the default (first) model, blocking while the
-    /// queue is at a configured bound ([`ServerBuilder::queue_depth`] /
-    /// [`ServerBuilder::model_queue_depth`]; never blocks on an unbounded
-    /// server). Returns as soon as the request is queued; block on the
-    /// handle for the response.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Server`] if the server shuts down while the
-    /// call is waiting for space — the request was *not* enqueued.
-    pub fn submit(&self, image: Tensor<u8>) -> Result<RequestHandle, CoreError> {
-        self.admit(0, image, Admission::Block)
+    /// Rejects an out-of-range model index with [`CoreError::Server`].
+    fn check_model(&self, index: usize) -> Result<(), CoreError> {
+        if index >= self.shared.models.len() {
+            return Err(CoreError::Server(format!(
+                "no model {index} (server holds {})",
+                self.shared.models.len()
+            )));
+        }
+        Ok(())
     }
 
-    /// [`RaellaServer::submit`] addressed to the model at `model`
-    /// (builder insertion order).
+    /// Submits one image to the default (first) model, blocking while the
+    /// queue is at a configured bound — [`RaellaServer::submit_to`] with
+    /// model `0` and [`Admission::Block`]. Returns as soon as the request
+    /// is queued; block on the handle for the response.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Server`] for an out-of-range model index or a
-    /// shutdown while waiting.
-    pub fn submit_to(&self, model: usize, image: Tensor<u8>) -> Result<RequestHandle, CoreError> {
-        self.admit(model, image, Admission::Block)
+    /// As [`RaellaServer::submit_to`].
+    pub fn submit(&self, image: Tensor<u8>) -> Result<RequestHandle, CoreError> {
+        self.submit_to(0, image, Admission::Block)
     }
 
     /// Submits one image to the default model, failing fast instead of
-    /// blocking when the queue is at a bound.
+    /// blocking when the queue is at a bound — [`RaellaServer::submit_to`]
+    /// with model `0` and [`Admission::Fail`].
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::QueueFull`] when no slot is free (the request
-    /// was not enqueued and holds no sequence number), or
-    /// [`CoreError::Server`] on shutdown.
+    /// As [`RaellaServer::submit_to`].
     pub fn try_submit(&self, image: Tensor<u8>) -> Result<RequestHandle, CoreError> {
-        self.admit(0, image, Admission::Fail)
+        self.submit_to(0, image, Admission::Fail)
     }
 
-    /// [`RaellaServer::try_submit`] addressed to the model at `model`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RaellaServer::try_submit`], plus [`CoreError::Server`] for an
-    /// out-of-range model index.
-    pub fn try_submit_to(
-        &self,
-        model: usize,
-        image: Tensor<u8>,
-    ) -> Result<RequestHandle, CoreError> {
-        self.admit(model, image, Admission::Fail)
-    }
-
-    /// Submits one image to the default model, blocking at a queue bound
-    /// for at most `timeout` before giving up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::QueueFull`] if no slot freed within
-    /// `timeout`, or [`CoreError::Server`] if the server shut down while
-    /// the call was waiting. Either way the request was not enqueued.
-    pub fn submit_timeout(
-        &self,
-        image: Tensor<u8>,
-        timeout: Duration,
-    ) -> Result<RequestHandle, CoreError> {
-        self.admit(0, image, Admission::Deadline(Instant::now() + timeout))
-    }
-
-    /// [`RaellaServer::submit_timeout`] addressed to the model at
-    /// `model`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RaellaServer::submit_timeout`], plus [`CoreError::Server`]
-    /// for an out-of-range model index.
-    pub fn submit_timeout_to(
-        &self,
-        model: usize,
-        image: Tensor<u8>,
-        timeout: Duration,
-    ) -> Result<RequestHandle, CoreError> {
-        self.admit(model, image, Admission::Deadline(Instant::now() + timeout))
-    }
-
-    /// The shared admission path: validate the model index, then wait for
-    /// (or demand) queue space per `mode` and enqueue. Shutdown always
+    /// Submits one image to the model at `model` (builder insertion
+    /// order), waiting for queue space per `mode` — the single admission
+    /// path every other submit method routes through. Shutdown always
     /// wins over newly freed space, so a request is never accepted into a
-    /// draining server.
-    fn admit(
+    /// draining server. Returns as soon as the request is queued; block on
+    /// the handle for the response.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::QueueFull`] when `mode` is [`Admission::Fail`]
+    /// and no slot is free, or [`Admission::Deadline`] passes before one
+    /// frees; [`CoreError::Server`] for an out-of-range model index or if
+    /// the server shuts down while the call is waiting. A rejected request
+    /// was *not* enqueued and holds no sequence number.
+    pub fn submit_to(
         &self,
         model: usize,
         image: Tensor<u8>,
         mode: Admission,
     ) -> Result<RequestHandle, CoreError> {
-        if model >= self.shared.models.len() {
-            return Err(CoreError::Server(format!(
-                "no model {model} (server holds {})",
-                self.shared.models.len()
-            )));
-        }
+        self.check_model(model)?;
         // Computed outside the queue lock (it takes the live read lock).
         let advance = self.shared.age_advance(model, &image);
         let config = self.shared.select_config_now(model);
@@ -2305,8 +2278,8 @@ impl RaellaServer {
         }
     }
 
-    /// Submits a stream of images to the default model **all-or-nothing**
-    /// with [`RaellaServer::try_submit`] semantics: every slot is
+    /// Submits a stream of images to the model at `model`
+    /// **all-or-nothing** with [`Admission::Fail`] semantics: every slot is
     /// reserved under one lock acquisition and the images enqueue as one
     /// contiguous run of the model's lane — so the handles come back in
     /// submission order with consecutive sequence numbers, and no
@@ -2317,31 +2290,14 @@ impl RaellaServer {
     /// Returns [`CoreError::QueueFull`] if the stream does not fit under
     /// the queue bounds in its entirety — in that case *nothing* was
     /// enqueued (counted as one rejection in [`ServerMetrics::rejected`])
-    /// — or [`CoreError::Server`] on shutdown.
+    /// — or [`CoreError::Server`] for an out-of-range model index or on
+    /// shutdown.
     pub fn submit_many(
-        &self,
-        images: impl IntoIterator<Item = Tensor<u8>>,
-    ) -> Result<Vec<RequestHandle>, CoreError> {
-        self.submit_many_to(0, images)
-    }
-
-    /// [`RaellaServer::submit_many`] addressed to the model at `model`.
-    ///
-    /// # Errors
-    ///
-    /// As [`RaellaServer::submit_many`], plus [`CoreError::Server`] for
-    /// an out-of-range model index.
-    pub fn submit_many_to(
         &self,
         model: usize,
         images: impl IntoIterator<Item = Tensor<u8>>,
     ) -> Result<Vec<RequestHandle>, CoreError> {
-        if model >= self.shared.models.len() {
-            return Err(CoreError::Server(format!(
-                "no model {model} (server holds {})",
-                self.shared.models.len()
-            )));
-        }
+        self.check_model(model)?;
         let images: Vec<Tensor<u8>> = images.into_iter().collect();
         if images.is_empty() {
             return Ok(Vec::new());
@@ -2395,6 +2351,8 @@ impl RaellaServer {
 
     /// [`RaellaServer::wait_all`] with an explicit overall deadline:
     /// every handle must resolve within `timeout` of the call, together.
+    /// A `timeout` past the clock's range (e.g. [`Duration::MAX`]) waits
+    /// without a deadline.
     ///
     /// # Errors
     ///
@@ -2404,11 +2362,14 @@ impl RaellaServer {
         handles: impl IntoIterator<Item = RequestHandle>,
         timeout: Duration,
     ) -> Result<Vec<Response>, CoreError> {
-        let deadline = Instant::now() + timeout;
+        // `None`: the timeout is past the clock's range — no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         handles
             .into_iter()
             .map(|mut handle| {
-                let remaining = deadline.saturating_duration_since(Instant::now());
+                let remaining = deadline.map_or(Duration::MAX, |d| {
+                    d.saturating_duration_since(Instant::now())
+                });
                 match handle.wait_timeout(remaining) {
                     Some(result) => result,
                     None => Err(CoreError::Server(format!(
@@ -2533,12 +2494,7 @@ impl RaellaServer {
     /// action the live state cannot honor, and propagates reprogramming
     /// errors (the old snapshot stays live either way).
     pub fn recalibrate(&self, index: usize) -> Result<bool, CoreError> {
-        if index >= self.shared.models.len() {
-            return Err(CoreError::Server(format!(
-                "no model {index} (server holds {})",
-                self.shared.models.len()
-            )));
-        }
+        self.check_model(index)?;
         recalibrate_model(&self.shared, index, RecalTrigger::Manual, &[])
     }
 
@@ -2566,12 +2522,7 @@ impl RaellaServer {
     /// tile has failed (the server refuses to shrink onto nothing; the
     /// stale plan stays live).
     pub fn fail_tile(&self, index: usize, tile: usize) -> Result<bool, CoreError> {
-        if index >= self.shared.models.len() {
-            return Err(CoreError::Server(format!(
-                "no model {index} (server holds {})",
-                self.shared.models.len()
-            )));
-        }
+        self.check_model(index)?;
         let served = &self.shared.models[index];
         let live = served.snapshot();
         let Some(plan) = live.plan.as_deref() else {
@@ -2803,7 +2754,7 @@ mod tests {
         let server = build_tiny(2, 2, 100);
         let images: Vec<Tensor<u8>> = (0..5).map(sample_image).collect();
         let expected = server.model(0).run_batch(&images).unwrap();
-        let handles = server.submit_many(images).unwrap();
+        let handles = server.submit_many(0, images).unwrap();
         let responses = RaellaServer::wait_all(handles).unwrap();
         for (i, (resp, want)) in responses.iter().zip(expected.outputs()).enumerate() {
             assert_eq!(resp.output(), want, "request {i}");
@@ -2843,12 +2794,11 @@ mod tests {
     #[test]
     fn submit_to_unknown_model_errors() {
         let server = build_tiny(1, 1, 0);
-        assert!(server.submit_to(1, sample_image(0)).is_err());
-        assert!(server.try_submit_to(1, sample_image(0)).is_err());
-        assert!(server
-            .submit_timeout_to(1, sample_image(0), Duration::from_millis(1))
-            .is_err());
-        assert!(server.submit_many_to(1, [sample_image(0)]).is_err());
+        let soon = Instant::now() + Duration::from_millis(1);
+        for mode in [Admission::Block, Admission::Fail, Admission::Deadline(soon)] {
+            assert!(server.submit_to(1, sample_image(0), mode).is_err());
+        }
+        assert!(server.submit_many(1, [sample_image(0)]).is_err());
         // Unknown-model errors are not queue rejections.
         assert_eq!(server.metrics().rejected(), 0);
         server.shutdown();
@@ -2859,7 +2809,7 @@ mod tests {
         // A long budget and large batch leave requests parked in the
         // queue; shutdown must still flush them.
         let server = build_tiny(1, 64, 5_000_000);
-        let handles = server.submit_many((0..3).map(sample_image)).unwrap();
+        let handles = server.submit_many(0, (0..3).map(sample_image)).unwrap();
         let (out0, _) = server.model(0).run_image(&sample_image(0)).unwrap();
         server.shutdown();
         let responses = RaellaServer::wait_all(handles).unwrap();
@@ -2907,7 +2857,11 @@ mod tests {
         let held = server.try_submit(sample_image(0)).unwrap();
         let t0 = Instant::now();
         let err = server
-            .submit_timeout(sample_image(1), Duration::from_millis(20))
+            .submit_to(
+                0,
+                sample_image(1),
+                Admission::Deadline(Instant::now() + Duration::from_millis(20)),
+            )
             .unwrap_err();
         assert!(matches!(err, CoreError::QueueFull { .. }), "{err}");
         assert!(
@@ -2920,6 +2874,32 @@ mod tests {
         assert_eq!(metrics.blocked(), 1);
         server.shutdown();
         assert!(held.wait().is_ok());
+    }
+
+    #[test]
+    fn waits_past_the_clock_range_mean_no_deadline() {
+        // `Instant::now() + Duration::MAX` overflows; both waits must
+        // treat such a timeout as "wait for completion" instead.
+        let server = build_tiny(1, 1, 0);
+        let model = server.model(0);
+        let mut handle = server.submit(sample_image(0)).unwrap();
+        let response = handle
+            .wait_timeout(Duration::MAX)
+            .expect("no deadline: the wait ends with the response")
+            .unwrap();
+        assert_eq!(
+            response.output(),
+            &model.run_image(&sample_image(0)).unwrap().0
+        );
+        let handles = server.submit_many(0, (1..3).map(sample_image)).unwrap();
+        let responses = RaellaServer::wait_all_within(handles, Duration::MAX).unwrap();
+        for (seed, response) in (1..3).zip(&responses) {
+            assert_eq!(
+                response.output(),
+                &model.run_image(&sample_image(seed)).unwrap().0
+            );
+        }
+        server.shutdown();
     }
 
     #[test]
@@ -2953,12 +2933,12 @@ mod tests {
     fn submit_many_is_all_or_nothing_under_bounds() {
         let server = build_parked(3, 0);
         let first = server
-            .submit_many((0..2).map(sample_image))
+            .submit_many(0, (0..2).map(sample_image))
             .expect("2 of 3 slots fit");
         assert_eq!(first.len(), 2);
         // 2 queued + 2 more > depth 3: the whole call must reject without
         // enqueueing anything.
-        let err = server.submit_many((2..4).map(sample_image)).unwrap_err();
+        let err = server.submit_many(0, (2..4).map(sample_image)).unwrap_err();
         assert!(matches!(err, CoreError::QueueFull { .. }), "{err}");
         let metrics = server.metrics();
         assert_eq!(metrics.queued(), &[2], "partial enqueue leaked");
@@ -2966,7 +2946,9 @@ mod tests {
         assert_eq!(metrics.rejected(), 1, "all-or-nothing counts one call");
         // The last free slot still admits a fitting stream, contiguously
         // numbered after the first.
-        let third = server.submit_many([sample_image(4)]).expect("1 slot left");
+        let third = server
+            .submit_many(0, [sample_image(4)])
+            .expect("1 slot left");
         assert_eq!(third[0].sequence(), 2);
         server.shutdown();
         for handle in first.into_iter().chain(third) {
@@ -3039,7 +3021,7 @@ mod tests {
         assert!(plan.split_layer_count() >= 1, "fc1 must row-split");
         let baseline = sharded.model(0).run_batch(&images).unwrap();
 
-        let handles = sharded.submit_many(images.iter().cloned()).unwrap();
+        let handles = sharded.submit_many(0, images.iter().cloned()).unwrap();
         let responses = RaellaServer::wait_all(handles).unwrap();
         let mut merged = RunStats::default();
         for (i, (resp, want)) in responses.iter().zip(baseline.outputs()).enumerate() {
@@ -3088,7 +3070,7 @@ mod tests {
             .tile_spec(TileSpec::new(64, 64))
             .build()
             .unwrap();
-        let handles = server.submit_many(images.iter().cloned()).unwrap();
+        let handles = server.submit_many(0, images.iter().cloned()).unwrap();
         let responses = RaellaServer::wait_all(handles).unwrap();
         for (i, resp) in responses.iter().enumerate() {
             assert!(resp.energy().total_pj() > 0.0, "request {i}");
@@ -3516,8 +3498,10 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(server.model_count(), 2);
-        let a = server.submit_to(0, sample_image(3)).unwrap();
-        let b = server.submit_to(1, sample_image(3)).unwrap();
+        let a = server.submit(sample_image(3)).unwrap();
+        let b = server
+            .submit_to(1, sample_image(3), Admission::Block)
+            .unwrap();
         let (ra, rb) = (a.wait().unwrap(), b.wait().unwrap());
         assert_eq!(ra.model_index(), 0);
         assert_eq!(rb.model_index(), 1);

@@ -13,7 +13,7 @@
 //!   array;
 //! * **row-group splits** for layers whose filters are longer than a
 //!   tile's row budget: each tile computes the partial sums of its row
-//!   groups ([`crate::engine::run_vector_groups`] — the cache-blocked
+//!   groups ([`crate::engine::run_vector_groups_at_age`] — the cache-blocked
 //!   panel kernel; tiles inherit its speed and its bit-exactness
 //!   guarantee unchanged) and the partials merge by an exact elementwise
 //!   `i64` accumulator reduction before the digital requantization

@@ -2,7 +2,7 @@
 //!
 //! Freezes a tiny hand-built model at a fixed seed and asserts the exact
 //! output bytes at ages 0, K, and 2K (K = the configured drift interval),
-//! plus the exact age at which `check_fidelity` first blows the error
+//! plus the exact age at which `check_fidelity_at_age` first blows the error
 //! budget — the crossing the serving watchdog acts on. Any change to the
 //! noise substream derivation, the drift-epoch schedule, the programming
 //! error draw, or the compounding math moves these values and must be an

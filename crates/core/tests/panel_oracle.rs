@@ -5,18 +5,18 @@
 //! The property sweeps random layer shapes (rows crossing group
 //! boundaries, filter counts crossing the 64-wide panel boundary, signed
 //! and unsigned inputs) × weight slicings × ADC widths (including small
-//! ones that force speculation recovery) × ideal/noisy × both input
-//! modes, and runs both kernels on the same vectors with the same noise
-//! substream keys. Any divergence in ADC conversion order, noise draw
+//! ones that force speculation recovery) × ideal/noisy × fresh/drifting
+//! device × both input modes, and runs both kernels on the same vectors
+//! with the same noise substream keys. Any divergence in ADC conversion order, noise draw
 //! order, device-charge pricing, or event counting fails here against the
 //! original code path.
 
 use proptest::prelude::*;
 
 use raella_core::compiler::CompiledLayer;
-use raella_core::engine::{run_vector_groups, run_vector_groups_reference, RunStats};
+use raella_core::engine::{run_vector_groups_at_age, run_vector_groups_reference_at_age, RunStats};
 use raella_core::scratch::VectorScratch;
-use raella_core::RaellaConfig;
+use raella_core::{DeviceLifetime, RaellaConfig};
 use raella_nn::synth::SynthLayer;
 use raella_xbar::adc::AdcSpec;
 use raella_xbar::slicing::Slicing;
@@ -24,8 +24,9 @@ use raella_xbar::slicing::Slicing;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any compiled layer, any group subrange, ideal or noisy, either
-    /// input mode: panel and scalar kernels agree bit-for-bit.
+    /// Any compiled layer, any group subrange, ideal or noisy, fresh or
+    /// drifting, either input mode: panel and scalar kernels agree
+    /// bit-for-bit.
     #[test]
     fn panel_kernel_is_bit_identical_to_scalar_kernel(
         rows in 1usize..200,
@@ -36,6 +37,7 @@ proptest! {
         signed in any::<bool>(),
         bitserial in any::<bool>(),
         noisy in any::<bool>(),
+        drifting in any::<bool>(),
     ) {
         let mut builder = SynthLayer::linear(rows, filters, seed);
         if signed {
@@ -60,6 +62,15 @@ proptest! {
         if bitserial {
             cfg = cfg.without_speculation();
         }
+        // A drifting device read past its first epochs: vector 0 runs at
+        // age 47 (epoch 2), vector 1 at age 48 (epoch 3), so the aged
+        // kernels compound relaxation noise and re-key every substream.
+        let base_age = if drifting {
+            cfg = cfg.with_lifetime(DeviceLifetime::new(0.01, 0.02, 16));
+            47
+        } else {
+            0
+        };
         let compiled = CompiledLayer::with_slicing(&layer, slicing, &cfg)
             .expect("consistent layer");
 
@@ -72,12 +83,15 @@ proptest! {
             for (v, input) in inputs.chunks(compiled.filter_len()).enumerate() {
                 let mut panel_scratch = VectorScratch::for_layer(&compiled);
                 let mut scalar_scratch = VectorScratch::for_layer(&compiled);
-                let ps = run_vector_groups(
+                let ps = run_vector_groups_at_age(
                     &compiled, input, groups.clone(), &mut panel_scratch, seed, v as u64,
+                    base_age,
                 );
-                let ss = run_vector_groups_reference(
+                let ss = run_vector_groups_reference_at_age(
                     &compiled, input, groups.clone(), &mut scalar_scratch, seed, v as u64,
+                    base_age,
                 );
+                prop_assert_eq!(ps.drift_epoch > 0, drifting, "vector {} epoch", v);
                 prop_assert_eq!(
                     panel_scratch.accumulators(), scalar_scratch.accumulators(),
                     "accumulators diverged: groups {:?} vector {}", &groups, v

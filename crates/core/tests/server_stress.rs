@@ -17,7 +17,7 @@ use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::gateway::LocalPool;
 use raella_core::model::CompiledModel;
-use raella_core::server::RaellaServer;
+use raella_core::server::{Admission, RaellaServer};
 use raella_core::{CoreError, DeviceLifetime, RaellaConfig, RunStats};
 use raella_nn::graph::Graph;
 use raella_nn::rng::SynthRng;
@@ -129,7 +129,7 @@ fn race_and_verify(server: &RaellaServer) {
                         _ => (conv_images[idx].clone(), &expect_conv[idx]),
                     };
                     let resp = server
-                        .submit_to(model, image)
+                        .submit_to(model, image, Admission::Block)
                         .expect("blocking submit admits")
                         .wait()
                         .expect("request succeeds");
@@ -226,7 +226,7 @@ fn hot_model_cannot_starve_trickle_model() {
             let mut handles = Vec::new();
             let mut rejections = 0u64;
             while !stop.load(Ordering::SeqCst) {
-                match server.try_submit_to(0, hot_image.clone()) {
+                match server.submit_to(0, hot_image.clone(), Admission::Fail) {
                     Ok(handle) => handles.push(handle),
                     Err(CoreError::QueueFull { .. }) => {
                         rejections += 1;
@@ -248,7 +248,7 @@ fn hot_model_cannot_starve_trickle_model() {
 
         for round in 0..5 {
             let handle = server
-                .submit_to(1, trickle_image.clone())
+                .submit_to(1, trickle_image.clone(), Admission::Block)
                 .expect("trickle blocking submit admits");
             let hot_before = server.metrics().served()[0];
             let resp = handle.wait().expect("trickle request completes");
@@ -301,7 +301,9 @@ fn shutdown_under_load_drains_every_handle() {
             ));
             handles.push((
                 1usize,
-                server.submit_to(1, conv_image(0)).expect("model 1 exists"),
+                server
+                    .submit_to(1, conv_image(0), Admission::Block)
+                    .expect("model 1 exists"),
                 i,
             ));
         }
@@ -455,7 +457,7 @@ fn cross_lane_blocked_admissions_grant_in_global_arrival_order() {
             let image = images[model].clone();
             blockers.push(scope.spawn(move || {
                 let handle = server
-                    .submit_to(model, image)
+                    .submit_to(model, image, Admission::Block)
                     .expect("blocked submit is granted");
                 (k, model, handle)
             }));
@@ -514,7 +516,12 @@ fn shutdown_under_load_wakes_every_pending_future() {
     let mut handles = Vec::new();
     for _ in 0..PER_MODEL {
         handles.push((0usize, server.submit(long_image(0)).expect("admits")));
-        handles.push((1usize, server.submit_to(1, conv_image(0)).expect("admits")));
+        handles.push((
+            1usize,
+            server
+                .submit_to(1, conv_image(0), Admission::Block)
+                .expect("admits"),
+        ));
     }
 
     let resolved = Rc::new(RefCell::new(Vec::new()));

@@ -65,7 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         } else {
                             (1, shuffle.sample_image(seed))
                         };
-                        let handle = server.submit_to(model, image).expect("model exists");
+                        let handle = server
+                            .submit_to(model, image, Admission::Block)
+                            .expect("model exists");
                         done.push(handle.wait().expect("request served"));
                     }
                     done

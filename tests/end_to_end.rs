@@ -49,7 +49,9 @@ fn compiled_layers_meet_the_error_budget() {
     for (in_c, out_c, k, seed) in [(16, 8, 3, 1u64), (64, 16, 3, 2), (128, 8, 1, 3)] {
         let layer = SynthLayer::conv(in_c, out_c, k, seed).build();
         let compiled = CompiledLayer::compile(&layer, &cfg).expect("compiles");
-        let report = compiled.check_fidelity(&layer, 5).expect("fidelity");
+        let report = compiled
+            .check_fidelity_at_age(&layer, 5, 0)
+            .expect("fidelity");
         assert!(
             report.mean_abs_error <= cfg.error_budget * 3.0 + 0.05,
             "layer {in_c}x{out_c}k{k}: runtime error {} vs budget {}",
