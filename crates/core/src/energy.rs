@@ -27,7 +27,7 @@ use raella_nn::tensor::Tensor;
 use crate::engine::RunStats;
 use crate::error::CoreError;
 use crate::model::CompiledModel;
-use crate::shard::ShardPlan;
+use crate::shard::{LayerPlacement, ShardPlan};
 
 impl RunStats {
     /// The additive, price-relevant event counters of this run — the
@@ -146,6 +146,9 @@ impl CompiledModel {
     }
 
     /// Runs one image and attributes energy to every matrix-layer node.
+    /// Attribution is a placement: layer `i` runs whole on tile `i`, so
+    /// the tile buckets are the per-node statistics — keyed by graph node,
+    /// not by compiled layer, even where nodes share one compiled `Arc`.
     /// The output and merged statistics are bit-identical to
     /// [`CompiledModel::run_image`]; per-node counters merge exactly to
     /// the whole, so the profile's total equals the unattributed
@@ -155,14 +158,25 @@ impl CompiledModel {
     ///
     /// Propagates operator shape errors for a mis-shaped image.
     pub fn energy_profile(&self, image: &Tensor<u8>) -> Result<EnergyProfile, CoreError> {
+        let per_node: Vec<LayerPlacement> = self
+            .compiled_layers()
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| LayerPlacement::whole(i, layer))
+            .collect();
         let mut arena = ValueArena::new();
-        let (_, stats, per_node) = self.run_image_layers_at_age(image, &mut arena, true, 0)?;
+        let (_, node_stats) =
+            self.run_placed(&per_node, per_node.len(), image, &mut arena, true, 0)?;
+        let mut stats = RunStats::default();
+        for s in &node_stats {
+            stats.merge(s);
+        }
         let meter = self.energy_meter();
         let layers = self
             .graph()
             .matrix_layers()
             .into_iter()
-            .zip(per_node)
+            .zip(node_stats)
             .map(|(mat, node_stats)| LayerEnergy {
                 name: mat.name().to_string(),
                 energy: meter.breakdown(&node_stats.meter_events()),
@@ -303,6 +317,58 @@ mod tests {
         // Output unchanged by attribution.
         let (plain, _) = model.run_image(&image).unwrap();
         assert_eq!(out, plain);
+    }
+
+    #[test]
+    fn profile_attributes_by_node_when_nodes_share_a_compiled_layer() {
+        use crate::shard::ShardSlice;
+        use raella_arch::tile::TileSpec;
+        // Nodes 0 and 1 run one shared compiled layer on feature maps of
+        // different sizes (8×8, then 4×4 after the pool); node 2 is a
+        // distinct linear layer.
+        let shared = SynthLayer::conv(2, 2, 3, 5).build();
+        let mut g = Graph::new();
+        let input = g.input();
+        let a = g.conv(input, shared.clone(), 2, 3, 1, 1).unwrap();
+        let pool = g.max_pool(a, 2, 2);
+        let b = g.conv(pool, shared, 2, 3, 1, 1).unwrap();
+        let gap = g.global_avg_pool(b);
+        let fc = g.linear(gap, SynthLayer::linear(2, 4, 3).build());
+        g.set_output(fc);
+        let cfg = tiny_cfg().with_noise(0.05);
+        let model = CompiledModel::compile_with_cache(
+            &g,
+            &cfg,
+            &crate::compiler::SharedCompileCache::new(),
+        )
+        .unwrap();
+        let layers = model.compiled_layers();
+        assert!(std::sync::Arc::ptr_eq(&layers[0], &layers[1]));
+
+        let image = sample_image(5);
+        let profile = model.energy_profile(&image).unwrap();
+        // The profile is the placement "layer i whole on tile i".
+        let per_node = (0..layers.len())
+            .map(|i| {
+                LayerPlacement::new(vec![ShardSlice {
+                    tile: i,
+                    groups: 0..layers[i].group_count(),
+                }])
+            })
+            .collect();
+        let plan =
+            ShardPlan::custom(&model, layers.len(), TileSpec::new(64, 64), per_node).unwrap();
+        let (_, buckets) = plan
+            .run_image_in(&model, &image, &mut ValueArena::new(), false)
+            .unwrap();
+        assert_eq!(profile.layers().len(), 3);
+        for (i, node) in profile.layers().iter().enumerate() {
+            assert_eq!(node.stats(), &buckets[i], "node {i}");
+        }
+        // Each node's vectors are its own im2col count: 8×8 output
+        // pixels, 4×4 output pixels, one linear vector.
+        let vectors: Vec<u64> = profile.layers().iter().map(|l| l.stats().vectors).collect();
+        assert_eq!(vectors, vec![64, 16, 1]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   saturation, 1b recovery cycles converting only failed columns.
 //! * [`compiler`] — the preprocessing pipeline (Algorithm 1's
 //!   `SliceEncodeWeights`): slicing search → center solve → programmed
-//!   crossbar columns — plus the [`compiler::CompileCache`] that
+//!   crossbar columns — plus the [`compiler::SharedCompileCache`] that
 //!   deduplicates compiles across a whole model.
 //! * [`model`] — whole-model compilation: [`model::CompiledModel`] compiles
 //!   a graph's layers once and streams image batches across workers with
@@ -99,7 +99,7 @@ pub mod server;
 pub mod shard;
 
 pub use accuracy::FidelityReport;
-pub use compiler::{CompileCache, CompiledLayer, SharedCompileCache};
+pub use compiler::{CompiledLayer, SharedCompileCache};
 pub use config::{RaellaConfig, WeightEncoding};
 pub use energy::{EnergyProfile, LayerEnergy};
 pub use engine::{RaellaEngine, RunStats};
@@ -118,4 +118,4 @@ pub use server::{
     energy_config_ladder, Admission, RaellaServer, RequestHandle, Response, ServerBuilder,
     ServerMetrics,
 };
-pub use shard::{ShardBatchResult, ShardPlan, ShardedModel};
+pub use shard::{ShardPlan, ShardedModel};

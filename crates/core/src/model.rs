@@ -3,13 +3,18 @@
 //! [`CompiledModel`] is the compile-once / run-batch split simulator stacks
 //! converge on: every `Conv`/`Linear` layer of a [`Graph`] goes through
 //! Algorithm 1 exactly once up front (deduplicated by a
-//! [`CompileCache`](crate::compiler::CompileCache)),
+//! [`SharedCompileCache`]),
 //! and then images stream through [`CompiledModel::run_batch`], which fans
 //! whole images across `std::thread::scope` workers. Per-vector work runs
 //! the cache-blocked panel kernel
 //! ([`crate::engine::run_vector_groups_at_age`]), so
 //! single-image latency tracks the CI-gated single-thread engine rate
 //! rather than depending on worker count.
+//!
+//! An unsharded model is the one-tile placement: every layer whole on
+//! tile 0, executed by the same placed engine as any
+//! [`crate::shard::ShardPlan`] (see [`crate::shard`]), so sharded and
+//! unsharded runs share one layer path and one batch loop.
 //!
 //! # Determinism contract
 //!
@@ -37,14 +42,17 @@ use raella_nn::tensor::Tensor;
 
 use crate::compiler::{CompiledLayer, SharedCompileCache};
 use crate::config::RaellaConfig;
-use crate::engine::{noise_seed_for, run_batch_at_age, run_batch_parallel_at_age, RunStats};
+use crate::engine::{noise_seed_for, RunStats};
 use crate::error::CoreError;
 use crate::parallel::{run_chunks, worker_count_for};
+use crate::shard::LayerPlacement;
 
-/// Outputs and merged statistics of one [`CompiledModel::run_batch`] call.
+/// Outputs and statistics of one [`CompiledModel::run_batch`] or
+/// [`crate::shard::ShardedModel::run_batch`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchResult {
     outputs: Vec<Tensor<u8>>,
+    tile_stats: Vec<RunStats>,
     stats: RunStats,
 }
 
@@ -54,9 +62,16 @@ impl BatchResult {
         &self.outputs
     }
 
-    /// Statistics merged across all images of the batch.
+    /// Statistics merged across all tiles and images of the batch.
     pub fn stats(&self) -> &RunStats {
         &self.stats
+    }
+
+    /// Per-tile statistics (index = tile), merged across the batch. An
+    /// unsharded model runs as a one-tile placement, so its batch has one
+    /// bucket, equal to [`BatchResult::stats`].
+    pub fn tile_stats(&self) -> &[RunStats] {
+        &self.tile_stats
     }
 
     /// Number of images in the batch.
@@ -75,16 +90,6 @@ impl BatchResult {
             .iter()
             .map(|out| argmax(out.as_slice()))
             .collect()
-    }
-
-    /// Consumes the result, yielding the output tensors.
-    pub fn into_outputs(self) -> Vec<Tensor<u8>> {
-        self.outputs
-    }
-
-    /// Consumes the result, yielding outputs and merged statistics.
-    pub fn into_parts(self) -> (Vec<Tensor<u8>>, RunStats) {
-        (self.outputs, self.stats)
     }
 }
 
@@ -124,6 +129,8 @@ pub struct CompiledModel {
     /// Compiled matrix layers in execution order (one entry per matrix
     /// node; repeated layers share an [`Arc`]).
     layers: Vec<Arc<CompiledLayer>>,
+    /// The unsharded placement: every layer whole on tile 0.
+    one_tile: Vec<LayerPlacement>,
     cfg: RaellaConfig,
     noise_seed: u64,
     unique_layers: usize,
@@ -184,10 +191,15 @@ impl CompiledModel {
             seen.dedup();
             seen.len()
         };
+        let one_tile = layers
+            .iter()
+            .map(|layer| LayerPlacement::whole(0, layer))
+            .collect();
         Ok(CompiledModel {
             graph,
             plan,
             layers,
+            one_tile,
             noise_seed: noise_seed_for(cfg),
             unique_layers,
             cfg: cfg.clone(),
@@ -223,16 +235,22 @@ impl CompiledModel {
     }
 
     /// The noise-stream seed this model derives for every image (see the
-    /// module docs) — sharded execution reuses it so placement never
+    /// module docs) — every placement reuses it, so placement never
     /// changes the draw.
     pub(crate) fn noise_seed(&self) -> u64 {
         self.noise_seed
     }
 
-    /// The validated execution plan — sharded execution walks the same
-    /// plan through the same graph, only the matrix-layer engine differs.
+    /// The validated execution plan the placed engine walks.
     pub(crate) fn exec_plan(&self) -> &ExecPlan {
         &self.plan
+    }
+
+    /// The unsharded placement (every layer whole on tile 0) — what
+    /// [`CompiledModel::run_image`] and [`CompiledModel::run_batch`]
+    /// execute under.
+    pub(crate) fn one_tile_placement(&self) -> &[LayerPlacement] {
+        &self.one_tile
     }
 
     /// Total crossbar columns the model occupies across all layers.
@@ -302,39 +320,63 @@ impl CompiledModel {
         images: &[Tensor<u8>],
         threads: usize,
     ) -> Result<BatchResult, CoreError> {
+        self.run_batch_placed(&self.one_tile, 1, images, threads)
+    }
+
+    /// The batch loop behind every `run_batch`: fans whole images across
+    /// `threads` workers, each running [`CompiledModel::run_placed`] under
+    /// `placements` on a pooled arena, and merges the per-tile buckets.
+    pub(crate) fn run_batch_placed(
+        &self,
+        placements: &[LayerPlacement],
+        tiles: usize,
+        images: &[Tensor<u8>],
+        threads: usize,
+    ) -> Result<BatchResult, CoreError> {
         // Clamp to the real worker count first (run_chunks caps at one
-        // worker per image): with no image-level fan-out the vector-level
-        // fan-out inside each layer takes over. Both paths produce
-        // identical bytes, so this is purely a scheduling choice.
+        // worker per image): with no image-level fan-out the vector- and
+        // tile-level fan-out inside each layer takes over. Both paths
+        // produce identical bytes, so this is purely a scheduling choice.
         let threads = threads.clamp(1, images.len().max(1));
         let inner_parallel = threads <= 1;
         let blocks = run_chunks(images.len(), threads, |first, n| {
             let mut arena = ValueArena::new();
             images[first..first + n]
                 .iter()
-                .map(|img| self.run_image_in(img, &mut arena, inner_parallel))
+                .map(|img| self.run_placed(placements, tiles, img, &mut arena, inner_parallel, 0))
                 .collect::<Vec<_>>()
         });
         let mut outputs = Vec::with_capacity(images.len());
-        let mut stats = RunStats::default();
+        let mut tile_stats = vec![RunStats::default(); tiles];
         for result in blocks.into_iter().flatten() {
-            let (out, local) = result?;
-            stats.merge(&local);
+            let (out, per_tile) = result?;
+            for (bucket, local) in tile_stats.iter_mut().zip(&per_tile) {
+                bucket.merge(local);
+            }
             outputs.push(out);
         }
-        Ok(BatchResult { outputs, stats })
+        let mut stats = RunStats::default();
+        for bucket in &tile_stats {
+            stats.merge(bucket);
+        }
+        Ok(BatchResult {
+            outputs,
+            tile_stats,
+            stats,
+        })
     }
 
     /// Runs one image against a caller-pooled arena — the serving hot
     /// path: a long-lived worker (e.g. a [`crate::server::RaellaServer`]
     /// worker thread) keeps one [`ValueArena`] for its lifetime, so
     /// steady-state execution allocates nothing per image beyond the
-    /// output tensors. `parallel_vectors` selects vector-level fan-out
-    /// inside each layer (pass `false` when the caller already provides
-    /// image- or request-level parallelism); both settings produce
-    /// identical bytes. Every image gets a fresh noise-stream state (seed
-    /// from the configuration, vector counter at zero), which is the
-    /// whole determinism story.
+    /// output tensor and its one-tile statistics bucket.
+    /// `parallel_vectors` selects vector-level fan-out inside each layer
+    /// (pass `false` when the caller already provides image- or
+    /// request-level parallelism); both settings produce identical bytes.
+    /// Every image gets a fresh noise-stream state (seed from the
+    /// configuration, vector counter at zero), which is the whole
+    /// determinism story.
     ///
     /// # Errors
     ///
@@ -351,6 +393,8 @@ impl CompiledModel {
     /// [`CompiledModel::run_image_in`] on a device aged `age` served
     /// vectors — the serving hot path at any point in the device's
     /// lifetime. Age 0 is bit-identical to [`CompiledModel::run_image_in`].
+    /// Executes the one-tile placement (every layer whole on tile 0) and
+    /// returns that tile's statistics bucket.
     ///
     /// # Errors
     ///
@@ -362,51 +406,9 @@ impl CompiledModel {
         parallel_vectors: bool,
         age: u64,
     ) -> Result<(Tensor<u8>, RunStats), CoreError> {
-        let mut engine = PlannedEngine {
-            layers: &self.layers,
-            cursor: 0,
-            stats: RunStats::default(),
-            layer_stats: None,
-            next_vector: 0,
-            noise_seed: self.noise_seed,
-            parallel_vectors,
-            base_age: age,
-        };
-        let out = self
-            .graph
-            .run_planned(&self.plan, image, &mut engine, arena)?;
-        Ok((out, engine.stats))
-    }
-
-    /// [`CompiledModel::run_image_in_at_age`] that additionally attributes
-    /// statistics to each matrix-layer node (execution order). The merged
-    /// totals are bit-identical to the unattributed run — per-node
-    /// counters are accumulated locally and merged in, and
-    /// [`RunStats::merge`] is exact — so this is the energy profiler's
-    /// execution path, not a second semantics.
-    pub(crate) fn run_image_layers_at_age(
-        &self,
-        image: &Tensor<u8>,
-        arena: &mut ValueArena,
-        parallel_vectors: bool,
-        age: u64,
-    ) -> Result<(Tensor<u8>, RunStats, Vec<RunStats>), CoreError> {
-        let mut per_layer = vec![RunStats::default(); self.layers.len()];
-        let mut engine = PlannedEngine {
-            layers: &self.layers,
-            cursor: 0,
-            stats: RunStats::default(),
-            layer_stats: Some(&mut per_layer),
-            next_vector: 0,
-            noise_seed: self.noise_seed,
-            parallel_vectors,
-            base_age: age,
-        };
-        let out = self
-            .graph
-            .run_planned(&self.plan, image, &mut engine, arena)?;
-        let stats = engine.stats;
-        Ok((out, stats, per_layer))
+        let (out, mut buckets) =
+            self.run_placed(&self.one_tile, 1, image, arena, parallel_vectors, age)?;
+        Ok((out, buckets.swap_remove(0)))
     }
 
     /// Input vectors one `image` pushes through the model's matrix layers
@@ -573,68 +575,13 @@ impl CompiledModel {
         }
         Ok(CompiledModel {
             graph: self.graph.clone(),
-            plan: self.graph.plan()?,
+            plan: self.plan.clone(),
             layers,
+            one_tile: self.one_tile.clone(),
             noise_seed: self.noise_seed,
             unique_layers: self.unique_layers,
             cfg,
         })
-    }
-}
-
-/// Per-image engine adapter: serves the graph's matrix-layer calls from
-/// the precompiled list. Calls arrive in execution order — the same order
-/// [`Graph::matrix_layers`] reports (property-tested in
-/// `crates/nn/tests/graph_proptests.rs`) — so a cursor suffices.
-struct PlannedEngine<'m> {
-    layers: &'m [Arc<CompiledLayer>],
-    cursor: usize,
-    stats: RunStats,
-    /// When profiling, per-node statistics indexed like `layers` —
-    /// accumulated locally per call and merged into `stats`, so totals
-    /// stay bit-identical to the unattributed path ([`RunStats::merge`]
-    /// is exact integer arithmetic).
-    layer_stats: Option<&'m mut Vec<RunStats>>,
-    next_vector: u64,
-    noise_seed: u64,
-    parallel_vectors: bool,
-    /// Device age (served vectors since last programming) at which this
-    /// image starts; vector `i` of the image runs at `base_age + i`.
-    base_age: u64,
-}
-
-impl MatVecEngine for PlannedEngine<'_> {
-    fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
-        let node = self.cursor;
-        let compiled = &self.layers[node];
-        self.cursor += 1;
-        debug_assert_eq!(compiled.name(), layer.name(), "layer order drifted");
-        let mut local = RunStats::default();
-        let out = if self.parallel_vectors {
-            run_batch_parallel_at_age(
-                compiled,
-                inputs,
-                &mut local,
-                self.noise_seed,
-                self.next_vector,
-                self.base_age,
-            )
-        } else {
-            run_batch_at_age(
-                compiled,
-                inputs,
-                &mut local,
-                self.noise_seed,
-                self.next_vector,
-                self.base_age,
-            )
-        };
-        self.stats.merge(&local);
-        if let Some(per_layer) = self.layer_stats.as_deref_mut() {
-            per_layer[node].merge(&local);
-        }
-        self.next_vector += (inputs.len() / layer.filter_len()) as u64;
-        out
     }
 }
 

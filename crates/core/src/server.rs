@@ -1532,28 +1532,22 @@ fn worker_loop(shared: &Shared) {
             // Re-checked per image: siblings may pick up or finish work
             // mid-batch.
             let alone = shared.busy.load(Ordering::Relaxed) == 1;
-            // Sharded models fan a split layer across one worker per
-            // involved tile when this worker is the only busy one —
-            // "each tile gets its own worker"; otherwise request-level
-            // parallelism already covers the cores. Either way the bytes
-            // and (merged) stats are identical to the unsharded model.
             // Admission-selected slicing variant (index 0 = the base
             // model). Resolved per request: a selection-epoch boundary
-            // can land mid-batch.
+            // can land mid-batch. An unsharded variant runs its one-tile
+            // placement through the same path as a sharded one; split
+            // layers fan across one worker per involved tile when this
+            // worker is the only busy one — "each tile gets its own
+            // worker"; otherwise request-level parallelism already covers
+            // the cores. Either way the bytes and merged stats are
+            // identical to the unsharded model.
             let (vmodel, vplan) = live.variant(req.config);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match vplan {
-                Some(plan) => plan
-                    .run_image_in_at_age(vmodel, &req.image, &mut arena, alone, req.age)
-                    .map(|(output, tile_stats)| {
-                        let mut stats = RunStats::default();
-                        for bucket in &tile_stats {
-                            stats.merge(bucket);
-                        }
-                        (output, stats, tile_stats)
-                    }),
-                None => vmodel
-                    .run_image_in_at_age(&req.image, &mut arena, alone, req.age)
-                    .map(|(output, stats)| (output, stats, Vec::new())),
+            let (placements, tiles) = match vplan {
+                Some(plan) => (plan.placements(), plan.tiles()),
+                None => (vmodel.one_tile_placement(), 1),
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                vmodel.run_placed(placements, tiles, &req.image, &mut arena, alone, req.age)
             }))
             .unwrap_or_else(|_| {
                 Err(CoreError::Server(format!(
@@ -1561,7 +1555,15 @@ fn worker_loop(shared: &Shared) {
                     req.seq
                 )))
             })
-            .map(|(output, stats, tile_stats)| {
+            .map(|(output, mut tile_stats)| {
+                let mut stats = RunStats::default();
+                for bucket in &tile_stats {
+                    stats.merge(bucket);
+                }
+                // Per-tile reporting is for sharded models only.
+                if vplan.is_none() {
+                    tile_stats = Vec::new();
+                }
                 if !tile_stats.is_empty() {
                     let mut totals = shared
                         .tile_totals

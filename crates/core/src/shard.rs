@@ -20,6 +20,12 @@
 //!   ([`crate::engine::finalize_vector`]) — the paper's inter-tile psum
 //!   accumulation.
 //!
+//! This is the **only** way a [`CompiledModel`]'s layers execute. An
+//! unsharded run is the one-tile placement — every layer whole on tile 0
+//! ([`CompiledModel::run_image`]) — and per-layer energy attribution is
+//! the placement "layer `i` whole on tile `i`", whose tile buckets are the
+//! per-node statistics ([`CompiledModel::energy_profile`]).
+//!
 //! # Determinism contract
 //!
 //! **Placement is pure scheduling.** Any shard count, any row budget, any
@@ -54,8 +60,8 @@ use crate::engine::{
     finalize_vector, run_batch_at_age, run_batch_groups_at_age, run_batch_parallel_at_age, RunStats,
 };
 use crate::error::CoreError;
-use crate::model::CompiledModel;
-use crate::parallel::{run_chunks, worker_count_for};
+use crate::model::{BatchResult, CompiledModel};
+use crate::parallel::worker_count_for;
 
 /// One contiguous row-group range of one layer, placed on one tile.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,6 +85,16 @@ impl LayerPlacement {
     /// against a model via [`ShardPlan::custom`]).
     pub fn new(slices: Vec<ShardSlice>) -> Self {
         LayerPlacement { slices }
+    }
+
+    /// `layer` whole on `tile`: one slice covering every row group.
+    pub(crate) fn whole(tile: usize, layer: &CompiledLayer) -> Self {
+        LayerPlacement {
+            slices: vec![ShardSlice {
+                tile,
+                groups: 0..layer.group_count(),
+            }],
+        }
     }
 
     /// The slices, in row-group order.
@@ -515,21 +531,14 @@ impl ShardPlan {
         parallel_tiles: bool,
         base_age: u64,
     ) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
-        debug_assert_eq!(self.placements.len(), model.compiled_layers().len());
-        let mut engine = ShardedEngine {
-            layers: model.compiled_layers(),
-            placements: &self.placements,
-            cursor: 0,
-            tile_stats: vec![RunStats::default(); self.tiles],
-            next_vector: 0,
-            noise_seed: model.noise_seed(),
+        model.run_placed(
+            &self.placements,
+            self.tiles,
+            image,
+            arena,
             parallel_tiles,
             base_age,
-        };
-        let out = model
-            .graph()
-            .run_planned(model.exec_plan(), image, &mut engine, arena)?;
-        Ok((out, engine.tile_stats))
+        )
     }
 }
 
@@ -592,49 +601,6 @@ impl TileView {
         } else {
             self.cells as f64 / (self.crossbars as u64 * spec.cells_per_crossbar()) as f64
         }
-    }
-}
-
-/// Outputs and per-tile statistics of one [`ShardedModel::run_batch`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardBatchResult {
-    outputs: Vec<Tensor<u8>>,
-    tile_stats: Vec<RunStats>,
-    stats: RunStats,
-}
-
-impl ShardBatchResult {
-    /// One output tensor per input image, in input order — bit-identical
-    /// to [`crate::model::BatchResult::outputs`] on the same images.
-    pub fn outputs(&self) -> &[Tensor<u8>] {
-        &self.outputs
-    }
-
-    /// Statistics merged across all tiles and images — equal to the
-    /// unsharded batch stats.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// Per-tile statistics (index = tile), merged across the batch.
-    pub fn tile_stats(&self) -> &[RunStats] {
-        &self.tile_stats
-    }
-
-    /// Number of images in the batch.
-    pub fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Whether the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
-    }
-
-    /// Consumes the result, yielding outputs, per-tile stats, and merged
-    /// stats.
-    pub fn into_parts(self) -> (Vec<Tensor<u8>>, Vec<RunStats>, RunStats) {
-        (self.outputs, self.tile_stats, self.stats)
     }
 }
 
@@ -751,22 +717,6 @@ impl ShardedModel {
         self.plan.run_image_in(&self.model, image, &mut arena, true)
     }
 
-    /// [`ShardedModel::run_image`] at device age `base_age` (served
-    /// vectors since the crossbars were last programmed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates operator shape errors for a mis-shaped image.
-    pub fn run_image_at_age(
-        &self,
-        image: &Tensor<u8>,
-        base_age: u64,
-    ) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
-        let mut arena = ValueArena::new();
-        self.plan
-            .run_image_in_at_age(&self.model, image, &mut arena, true, base_age)
-    }
-
     /// Runs a batch of images, fanning whole images across worker threads
     /// (`RAELLA_THREADS` or the available parallelism).
     ///
@@ -776,7 +726,7 @@ impl ShardedModel {
     /// # Errors
     ///
     /// Propagates operator shape errors (the batch fails as a whole).
-    pub fn run_batch(&self, images: &[Tensor<u8>]) -> Result<ShardBatchResult, CoreError> {
+    pub fn run_batch(&self, images: &[Tensor<u8>]) -> Result<BatchResult, CoreError> {
         self.run_batch_threaded(images, worker_count_for(images.len(), 1))
     }
 
@@ -791,55 +741,65 @@ impl ShardedModel {
         &self,
         images: &[Tensor<u8>],
         threads: usize,
-    ) -> Result<ShardBatchResult, CoreError> {
-        let threads = threads.clamp(1, images.len().max(1));
-        let tile_parallel = threads <= 1;
-        let blocks = run_chunks(images.len(), threads, |first, n| {
-            let mut arena = ValueArena::new();
-            images[first..first + n]
-                .iter()
-                .map(|img| {
-                    self.plan
-                        .run_image_in(&self.model, img, &mut arena, tile_parallel)
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut outputs = Vec::with_capacity(images.len());
-        let mut tile_stats = vec![RunStats::default(); self.plan.tiles()];
-        for result in blocks.into_iter().flatten() {
-            let (out, per_tile) = result?;
-            for (bucket, local) in tile_stats.iter_mut().zip(&per_tile) {
-                bucket.merge(local);
-            }
-            outputs.push(out);
-        }
-        let mut stats = RunStats::default();
-        for bucket in &tile_stats {
-            stats.merge(bucket);
-        }
-        Ok(ShardBatchResult {
-            outputs,
-            tile_stats,
-            stats,
-        })
+    ) -> Result<BatchResult, CoreError> {
+        self.model
+            .run_batch_placed(&self.plan.placements, self.plan.tiles, images, threads)
     }
 }
 
-/// Per-image engine adapter for sharded execution: serves the graph's
-/// matrix-layer calls from the placement, layer by layer (the cursor
-/// mirrors [`crate::model`]'s `PlannedEngine`).
-struct ShardedEngine<'m> {
+impl CompiledModel {
+    /// Runs one image with layer `i` executing under `placements[i]` on an
+    /// array of `tiles` tiles, returning the output and one [`RunStats`]
+    /// bucket per tile — the single execution path behind every image run
+    /// (see the module docs). `parallel` fans a split layer across one
+    /// worker per involved tile and an unsplit layer across vector-level
+    /// workers; both settings produce identical bytes.
+    pub(crate) fn run_placed(
+        &self,
+        placements: &[LayerPlacement],
+        tiles: usize,
+        image: &Tensor<u8>,
+        arena: &mut ValueArena,
+        parallel: bool,
+        base_age: u64,
+    ) -> Result<(Tensor<u8>, Vec<RunStats>), CoreError> {
+        debug_assert_eq!(placements.len(), self.compiled_layers().len());
+        let mut engine = PlacedEngine {
+            layers: self.compiled_layers(),
+            placements,
+            cursor: 0,
+            tile_stats: vec![RunStats::default(); tiles],
+            next_vector: 0,
+            noise_seed: self.noise_seed(),
+            parallel,
+            base_age,
+        };
+        let out = self
+            .graph()
+            .run_planned(self.exec_plan(), image, &mut engine, arena)?;
+        Ok((out, engine.tile_stats))
+    }
+}
+
+/// Per-image engine adapter: serves the graph's matrix-layer calls from
+/// the compiled layers under their placements. Calls arrive in execution
+/// order — the same order [`raella_nn::graph::Graph::matrix_layers`]
+/// reports (property-tested in `crates/nn/tests/graph_proptests.rs`) — so
+/// a cursor suffices.
+struct PlacedEngine<'m> {
     layers: &'m [Arc<CompiledLayer>],
     placements: &'m [LayerPlacement],
     cursor: usize,
     tile_stats: Vec<RunStats>,
     next_vector: u64,
     noise_seed: u64,
-    parallel_tiles: bool,
+    parallel: bool,
+    /// Device age (served vectors since last programming) at which this
+    /// image starts; vector `i` of the image runs at `base_age + i`.
     base_age: u64,
 }
 
-impl MatVecEngine for ShardedEngine<'_> {
+impl MatVecEngine for PlacedEngine<'_> {
     fn layer_outputs(&mut self, layer: &MatrixLayer, inputs: &[Act]) -> Vec<u8> {
         let compiled = &self.layers[self.cursor];
         let placement = &self.placements[self.cursor];
@@ -853,7 +813,7 @@ impl MatVecEngine for ShardedEngine<'_> {
             self.next_vector,
             self.base_age,
             &mut self.tile_stats,
-            self.parallel_tiles,
+            self.parallel,
         );
         self.next_vector += (inputs.len() / layer.filter_len()) as u64;
         out
@@ -1260,18 +1220,16 @@ mod tests {
             for t in 0..3 {
                 assert_eq!(rot_stats[(t + 1) % 3], base_stats[t], "age {age} tile {t}");
             }
-            // The ShardedModel front end agrees.
-            let sharded = ShardedModel::with_plan(
-                CompiledModel::compile_with_cache(
-                    &long_filter_graph(),
-                    &cfg,
-                    &crate::compiler::SharedCompileCache::new(),
-                )
-                .unwrap(),
-                plan.clone(),
+            // An independently compiled copy of the model agrees.
+            let fresh = CompiledModel::compile_with_cache(
+                &long_filter_graph(),
+                &cfg,
+                &crate::compiler::SharedCompileCache::new(),
             )
             .unwrap();
-            let (front_out, _) = sharded.run_image_at_age(&img, age).unwrap();
+            let (front_out, _) = plan
+                .run_image_in_at_age(&fresh, &img, &mut arena, true, age)
+                .unwrap();
             assert_eq!(front_out, base_out, "age {age}");
         }
         // Aged runs report their drift epoch through the tile stats
