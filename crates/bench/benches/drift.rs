@@ -1,34 +1,34 @@
 //! Device-lifetime baseline: accuracy under conductance drift and the
 //! serving cost of recalibration.
 //!
-//! Run with `cargo bench --bench drift` (or via the CI entry point,
-//! `ci/bench_gate.sh drift BENCH_drift.json 250000`). Writes
-//! `BENCH_drift.json` at the repository root with three records:
+//! Run with `cargo bench --bench drift`. Writes `BENCH_drift.json` at the
+//! repository root with three records:
 //!
 //! * **curve** — worst-layer mean |error| (the watchdog's §4.2.1 fidelity
 //!   metric) at each drift-epoch boundary from a fresh array to deep into
-//!   its lifetime. CI checks the shape: a fresh device starts within the
-//!   error budget and drift must eventually cross it.
+//!   its lifetime. Asserted on every runner: ages strictly ascend, a
+//!   fresh device starts within the error budget and drift eventually
+//!   crosses it.
 //! * **recalibration** — p50/p99 wall time of a live plan-swap
 //!   recalibration on a running sharded server (reprogram + rotate +
-//!   install), the pause the serving path pays per watchdog trip. CI
-//!   gates p99 under a ceiling on ≥4-core runners.
+//!   install), the pause the serving path pays per watchdog trip. The
+//!   p99 is gated under a ceiling on runners with ≥ 4 cores.
 //! * **failure_drill** — tile mortality under load: each drill kills a
 //!   tile of a fresh sharded server while racing submitters keep
 //!   traffic flowing, and times the reroute (report → shrunk plan
-//!   installed, contention retries included). CI checks every accepted
-//!   request completed with zero rejections and at least one shrink per
-//!   drill, and gates the p99 reroute pause under the same ceiling on
-//!   ≥4-core runners.
+//!   installed, contention retries included). Asserted on every runner:
+//!   every accepted request completed, zero rejections, at least one
+//!   shrink per drill. The p99 reroute pause is gated under the same
+//!   ceiling on runners with ≥ 4 cores.
 //!
 //! Before timing anything, aged execution is asserted bit-identical
 //! between the unsharded engine and a sharded plan — the determinism
 //! contract the drift tests pin, re-checked here on the bench model.
 
-use std::io::Write;
 use std::time::Instant;
 
 use raella_arch::tile::TileSpec;
+use raella_bench::{percentile, Bound, Cores, Record};
 use raella_core::model::CompiledModel;
 use raella_core::server::RaellaServer;
 use raella_core::{DeviceLifetime, RaellaConfig, ShardPlan, SharedCompileCache};
@@ -49,11 +49,9 @@ const DRILLS: usize = 8;
 const DRILL_SUBMITTERS: usize = 2;
 /// Blocking requests per submitter per drill.
 const DRILL_ROUNDS: usize = 6;
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p / 100.0).round() as usize;
-    sorted[idx]
-}
+/// Ceiling on the p99 recalibration and reroute pauses (µs), enforced on
+/// ≥ 4 cores: 250 ms against ~3 ms / ~7 ms measured.
+const MAX_PAUSE_US: f64 = 250_000.0;
 
 fn main() {
     // The drift-test model: a row-split 150-long layer plus a small tail,
@@ -114,16 +112,11 @@ fn main() {
             .fold(0.0f64, f64::max);
         curve.push((age, worst, worst <= budget));
     }
+    assert!(curve.windows(2).all(|w| w[0].0 < w[1].0), "ages ascend");
     assert!(curve[0].2, "fresh device must start within budget");
     assert!(
         !curve.last().expect("curve is non-empty").2,
         "drift must cross the budget inside the swept window"
-    );
-    println!(
-        "curve: {} epochs, fresh error {:.2}, final error {:.2} (budget {budget})",
-        curve.len(),
-        curve[0].1,
-        curve.last().expect("curve is non-empty").1
     );
 
     // ---- recalibration pause on a live sharded server ----
@@ -158,7 +151,7 @@ fn main() {
     server.shutdown();
     pauses_us.sort_unstable();
     let (p50, p99) = (percentile(&pauses_us, 50.0), percentile(&pauses_us, 99.0));
-    println!("recalibration pause: p50 {p50} µs, p99 {p99} µs over {RECALS} swaps");
+    assert!(0 < p50 && p50 <= p99, "pause p50 {p50}, p99 {p99}");
 
     // ---- tile-mortality drill: reroute pause under racing load ----
     // Each drill builds a fresh sharded server (compiles are cached),
@@ -228,25 +221,39 @@ fn main() {
         percentile(&drill_pauses_us, 50.0),
         percentile(&drill_pauses_us, 99.0),
     );
-    println!(
-        "failure drill: {drill_completed} completed, {drill_rejected} rejected, \
-         {drill_shrinks} shrinks; reroute pause p50 {dp50} µs, p99 {dp99} µs over {DRILLS} drills"
-    );
+    assert!(drill_completed > 0, "failure drill served no traffic");
+    assert!(0 < dp50 && dp50 <= dp99, "reroute p50 {dp50}, p99 {dp99}");
 
-    let curve_json: Vec<String> = curve
+    let curve = curve
         .iter()
-        .map(|(age, err, ok)| {
-            format!(
-                "    {{ \"age\": {age}, \"worst_mean_abs_error\": {err:.4}, \"within_budget\": {ok} }}"
-            )
+        .map(|&(age, err, ok)| {
+            Record::new()
+                .int("age", age)
+                .num("worst_mean_abs_error", err, 4)
+                .bool("within_budget", ok)
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"drift\",\n  \"error_budget\": {budget},\n  \"drift_interval\": {interval},\n  \"curve\": [\n{}\n  ],\n  \"recalibration\": {{ \"count\": {RECALS}, \"pause_us\": {{ \"p50\": {p50}, \"p99\": {p99} }} }},\n  \"failure_drill\": {{ \"drills\": {DRILLS}, \"completed\": {drill_completed}, \"rejected\": {drill_rejected}, \"shrinks\": {drill_shrinks}, \"reroute_pause_us\": {{ \"p50\": {dp50}, \"p99\": {dp99} }} }}\n}}\n",
-        curve_json.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_drift.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_drift.json");
-    f.write_all(json.as_bytes()).expect("write baseline");
-    println!("baseline written to BENCH_drift.json");
+    let pause = |p50, p99| {
+        Record::new()
+            .int("p50", p50)
+            .int("p99", p99)
+            .gate(Bound::AtMost(MAX_PAUSE_US), Cores::AtLeast4)
+    };
+    let recalibration = Record::new()
+        .int("count", RECALS as u64)
+        .obj("pause_us", pause(p50, p99));
+    let failure_drill = Record::new()
+        .int("drills", DRILLS as u64)
+        .int("completed", drill_completed)
+        .int("rejected", drill_rejected)
+        .int("shrinks", drill_shrinks)
+        .obj("reroute_pause_us", pause(dp50, dp99));
+    Record::new()
+        .str("bench", "drift")
+        .num("error_budget", budget, 1)
+        .int("drift_interval", interval)
+        .arr("curve", curve)
+        .obj("recalibration", recalibration)
+        .obj("failure_drill", failure_drill)
+        .write("drift");
 }

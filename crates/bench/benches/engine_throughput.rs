@@ -2,22 +2,17 @@
 //! `run_batch_at_age` and the parallel `run_batch_parallel_at_age` path, on the
 //! paper's standard 512-row crossbar shape.
 //!
-//! Run with `cargo bench --bench engine_throughput`. Writes the measured
-//! baseline to `BENCH_engine.json` at the repository root so CI and later
-//! optimization PRs can diff against it. The parallel path must hold a
-//! ≥2× speedup on a 4-core runner; the JSON records the observed ratio
-//! and the thread count it was measured with.
-//!
-//! The JSON also records `single_thread_vectors_per_sec` — the ideal-mode
-//! serial rate — as a first-class absolute gate: unlike the speedup
-//! ratios it holds on any core count, so a single-thread kernel
-//! regression can't hide behind a proportional parallel slowdown (see
-//! `ci/bench_gate.sh engine_single_thread`).
-
-use std::io::Write;
+//! Run with `cargo bench --bench engine_throughput`. Writes
+//! `BENCH_engine.json` at the repository root with the observed rates,
+//! speedups and thread count, then enforces two gates: every mode's
+//! parallel speedup ≥ 2× on runners with ≥ 4 cores, and the ideal-mode
+//! serial rate (`single_thread_vectors_per_sec`) above an absolute floor
+//! on any core count, so a single-thread kernel regression can't hide
+//! behind a proportional parallel slowdown.
 
 use criterion::Criterion;
 
+use raella_bench::{Bound, Cores, Record};
 use raella_core::compiler::CompiledLayer;
 use raella_core::engine::{run_batch_at_age, run_batch_parallel_at_age, RunStats};
 use raella_core::parallel::worker_count;
@@ -27,6 +22,11 @@ use raella_xbar::slicing::Slicing;
 
 /// Vectors per measured batch (amortizes thread spawn, fits in cache).
 const BATCH_VECTORS: usize = 32;
+/// Parallel speedup floor per mode, enforced on ≥ 4 cores.
+const MIN_SPEEDUP: f64 = 2.0;
+/// Ideal-mode serial vectors/sec floor, enforced on any core count: the
+/// panel kernel measures ~20k; the pre-panel kernel's ~4.4k fails by 2×.
+const MIN_SINGLE_THREAD_VPS: f64 = 9000.0;
 
 struct Measured {
     name: &'static str,
@@ -82,35 +82,23 @@ fn main() {
     ];
     let threads = worker_count(BATCH_VECTORS);
 
-    let mut json = String::from("{\n  \"bench\": \"engine_throughput\",\n");
-    json.push_str(&format!(
-        "  \"layer\": \"fc512x32\",\n  \"batch_vectors\": {BATCH_VECTORS},\n  \"threads\": {threads},\n"
-    ));
-    // Ideal-mode serial rate, gated as an absolute floor on any runner.
-    json.push_str(&format!(
-        "  \"single_thread_vectors_per_sec\": {:.1},\n",
-        runs[0].serial_vps
-    ));
-    json.push_str("  \"modes\": {\n");
-    for (i, m) in runs.iter().enumerate() {
+    let mut modes = Record::new();
+    for m in &runs {
         let speedup = m.parallel_vps / m.serial_vps;
-        println!(
-            "{}: serial {:.1} vec/s, parallel {:.1} vec/s, speedup x{speedup:.2} ({threads} threads)",
-            m.name, m.serial_vps, m.parallel_vps
-        );
-        json.push_str(&format!(
-            "    \"{}\": {{ \"serial_vectors_per_sec\": {:.1}, \"parallel_vectors_per_sec\": {:.1}, \"speedup\": {:.3} }}{}\n",
-            m.name,
-            m.serial_vps,
-            m.parallel_vps,
-            speedup,
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
+        let mode = Record::new()
+            .num("serial_vectors_per_sec", m.serial_vps, 1)
+            .num("parallel_vectors_per_sec", m.parallel_vps, 1)
+            .num("speedup", speedup, 3)
+            .gate(Bound::AtLeast(MIN_SPEEDUP), Cores::AtLeast4);
+        modes = modes.obj(m.name, mode);
     }
-    json.push_str("  }\n}\n");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_engine.json");
-    f.write_all(json.as_bytes()).expect("write baseline");
-    println!("baseline written to BENCH_engine.json");
+    Record::new()
+        .str("bench", "engine_throughput")
+        .str("layer", "fc512x32")
+        .int("batch_vectors", BATCH_VECTORS as u64)
+        .int("threads", threads as u64)
+        .num("single_thread_vectors_per_sec", runs[0].serial_vps, 1)
+        .gate(Bound::AtLeast(MIN_SINGLE_THREAD_VPS), Cores::Any)
+        .obj("modes", modes)
+        .write("engine");
 }

@@ -2,24 +2,20 @@
 //! percentiles through a `RaellaServer` at several batch budgets, on the
 //! mini ResNet18 model.
 //!
-//! Run with `cargo bench --bench serve_throughput` (or via the CI entry
-//! point, `ci/bench_gate.sh serve_throughput BENCH_serve.json 2.0`).
-//! Writes the measured baseline to `BENCH_serve.json` at the repository
-//! root — the third CI-gated perf vector alongside `BENCH_engine.json` /
-//! `BENCH_graph.json`. *Every* worker-parallel configuration (including
-//! the coalescing ones, max_batch > 1) must hold a ≥2× requests/sec
-//! speedup over a fully serial server on a 4-core runner — the gated
-//! `speedup` is the worst config's, so a regression in the coalescing
-//! path can't hide behind the no-coalescing config. The JSON records
-//! per-config ratios, the worker count, and p50/p99 queue latency per
-//! batch budget, plus an **overload** record: two models behind a
-//! depth-bounded queue under skewed traffic (hot model spamming
-//! fail-fast `submit_to`, trickle model blocking `submit_to`), reporting
-//! completed requests/sec and the admission rejection rate.
+//! Run with `cargo bench --bench serve_throughput`. Writes
+//! `BENCH_serve.json` at the repository root: per-config requests/sec,
+//! speedup over a fully serial server and p50/p99 queue latency; an
+//! **overload** record (two models behind a depth-bounded queue under
+//! skewed fail-fast/blocking traffic: completed requests/sec and the
+//! rejection rate); and the deterministic per-request **energy** record.
+//! The gate is the *worst* config's speedup ≥ 2× on runners with ≥ 4
+//! cores, so a coalescing regression (max_batch > 1) can't hide behind
+//! the no-coalescing config; traffic served, overload accounting and the
+//! energy invariants are asserted on every runner.
 
-use std::io::Write;
 use std::time::Instant;
 
+use raella_bench::{percentile, Bound, Cores, Record};
 use raella_core::server::{Admission, RaellaServer};
 use raella_core::{CoreError, RaellaConfig, SharedCompileCache};
 use raella_nn::models::mini::mini_resnet18;
@@ -31,6 +27,8 @@ const REQUESTS: usize = 24;
 /// Measurement repetitions per configuration (best-of to shed scheduler
 /// noise).
 const REPS: usize = 3;
+/// Worst-config parallel speedup floor, enforced on ≥ 4 cores.
+const MIN_SPEEDUP: f64 = 2.0;
 
 /// Submits one burst and waits for every response; returns (elapsed
 /// seconds, sorted queue latencies in ticks).
@@ -44,12 +42,6 @@ fn run_burst(server: &RaellaServer, images: &[Tensor<u8>]) -> (f64, Vec<u64>) {
     let mut queue: Vec<u64> = responses.iter().map(|r| r.queue_ticks()).collect();
     queue.sort_unstable();
     (elapsed, queue)
-}
-
-/// Index of the `p`-th percentile in a sorted sample of length `n`.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p / 100.0).round() as usize;
-    sorted[idx]
 }
 
 fn main() {
@@ -115,7 +107,6 @@ fn main() {
     let mut worst_rps = f64::INFINITY;
     for &(max_batch, budget) in &[(1usize, 0u64), (4, 200), (8, 1_000)] {
         let server = build(0, max_batch, budget);
-        let workers = server.worker_count();
 
         // Sanity: coalesced serving must agree with the serial server
         // bit-for-bit before we time it.
@@ -146,12 +137,15 @@ fn main() {
         worst_rps = worst_rps.min(rps);
         let (p50, p99) = (percentile(&queue, 50.0), percentile(&queue, 99.0));
         let config_speedup = rps / serial_rps;
-        println!(
-            "max_batch {max_batch} budget {budget} ticks: {rps:.1} req/s (x{config_speedup:.2}), queue p50 {p50} µs p99 {p99} µs ({workers} workers)"
+        assert!(rps > 0.0, "max_batch {max_batch} served nothing");
+        entries.push(
+            Record::new()
+                .int("max_batch", max_batch as u64)
+                .int("latency_budget_ticks", budget)
+                .num("requests_per_sec", rps, 1)
+                .num("speedup", config_speedup, 3)
+                .obj("queue_ticks", Record::new().int("p50", p50).int("p99", p99)),
         );
-        entries.push(format!(
-            "    {{ \"max_batch\": {max_batch}, \"latency_budget_ticks\": {budget}, \"requests_per_sec\": {rps:.1}, \"speedup\": {config_speedup:.3}, \"queue_ticks\": {{ \"p50\": {p50}, \"p99\": {p99} }} }}"
-        ));
     }
 
     // ---- overload: two models, skewed traffic, bounded queue ----
@@ -237,64 +231,72 @@ fn main() {
     );
     overload_server.shutdown();
     let attempts = 2 * HOT_ATTEMPTS + TRICKLE;
+    assert_eq!(
+        completed as u64 + rejected,
+        attempts as u64,
+        "every overload attempt completes or rejects"
+    );
     let overload_rps = completed as f64 / overload_elapsed;
+    assert!(overload_rps > 0.0, "overload config served nothing");
     let rejection_rate = rejected as f64 / attempts as f64;
     println!(
-        "overload (2 models, depth-8 queue, skewed traffic): {completed}/{attempts} requests completed, {rejected} rejected ({:.1}% rate), {overload_rps:.1} req/s, queue high water {}",
-        rejection_rate * 100.0,
-        overload_metrics.queue_depth_high_water(),
+        "overload queue high water {}",
+        overload_metrics.queue_depth_high_water()
     );
 
     let workers = raella_core::parallel::worker_count_for(usize::MAX, 1);
     let speedup = worst_rps / serial_rps;
-    println!(
-        "serial {serial_rps:.1} req/s, parallel best {best_rps:.1} / worst {worst_rps:.1} req/s, gated (worst) speedup x{speedup:.2} ({workers} workers)"
-    );
 
     // ---- energy: the paper's headline metric, per served request ----
-    // Deterministic (integer event counts priced once), so the gate
-    // validates invariants — ADC fraction in (0,1), components summing
-    // to the total — not machine-dependent magnitudes.
+    // Deterministic (integer event counts priced once), so the asserts
+    // check invariants, not machine-dependent magnitudes.
     let total_pj = burst_energy.total_pj();
     let joules_per_request = total_pj * 1e-12 / REQUESTS as f64;
     let adc_fraction = burst_energy.adc_fraction();
-    println!(
-        "energy: {joules_per_request:.3e} J/request, ADC fraction {:.1}% ({REQUESTS} requests, {total_pj:.1} pJ burst total)",
-        adc_fraction * 100.0
+    assert!(total_pj > 0.0 && joules_per_request > 0.0, "no energy");
+    assert!(
+        0.0 < adc_fraction && adc_fraction < 1.0,
+        "ADC fraction must be strictly inside (0, 1): {adc_fraction}"
     );
-    let components: Vec<String> = raella_core::EnergyBreakdown::LABELS
+    let summed: f64 = burst_energy.values().iter().sum();
+    assert!(
+        (summed - total_pj).abs() <= 1e-6 * total_pj,
+        "components sum to {summed} pJ, not the {total_pj} pJ total"
+    );
+    let components = raella_core::EnergyBreakdown::LABELS
         .iter()
         .zip(burst_energy.values())
-        .map(|(label, pj)| format!("\"{label}\": {pj:.6}"))
-        .collect();
-    let energy_record = format!(
-        "\"energy\": {{ \"requests\": {REQUESTS}, \"joules_per_request\": {joules_per_request:.6e}, \"adc_fraction\": {adc_fraction:.6}, \"total_pj\": {total_pj:.6}, \"components_pj\": {{ {} }} }}",
-        components.join(", ")
-    );
+        .fold(Record::new(), |obj, (label, pj)| obj.num(label, pj, 6));
 
-    let mut json = format!(
-        "{{\n  \"bench\": \"serve_throughput\",\n  \"model\": \"mini_resnet18\",\n  \"requests\": {REQUESTS},\n  \"workers\": {workers},\n  \"requests_per_sec\": {{ \"serial\": {serial_rps:.1}, \"parallel_best\": {best_rps:.1}, \"parallel_worst\": {worst_rps:.1}, \"speedup\": {speedup:.3} }},\n  \"budgets\": [\n{}\n  ],\n  {energy_record},\n  \"overload\": {{ \"models\": 2, \"queue_depth\": 8, \"max_batch\": 4, \"attempts\": {attempts}, \"completed\": {completed}, \"rejected\": {rejected}, \"rejection_rate\": {rejection_rate:.3}, \"requests_per_sec\": {overload_rps:.1} }}\n}}\n",
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    // The gateway load-gen example (`examples/gateway.rs`) owns the
-    // single-line `"gateway"` record in this file; preserve it across
-    // our rewrite so the two writers don't clobber each other.
-    if let Ok(old) = std::fs::read_to_string(path) {
-        if let Some(gateway) = old
-            .lines()
-            .find(|l| l.trim_start().starts_with("\"gateway\":"))
-        {
-            let body = json
-                .trim_end()
-                .strip_suffix('}')
-                .expect("bench JSON ends with a brace")
-                .trim_end()
-                .to_string();
-            json = format!("{body},\n  {}\n}}\n", gateway.trim().trim_end_matches(','));
-        }
-    }
-    let mut f = std::fs::File::create(path).expect("create BENCH_serve.json");
-    f.write_all(json.as_bytes()).expect("write baseline");
-    println!("baseline written to BENCH_serve.json");
+    let requests_per_sec = Record::new()
+        .num("serial", serial_rps, 1)
+        .num("parallel_best", best_rps, 1)
+        .num("parallel_worst", worst_rps, 1)
+        .num("speedup", speedup, 3)
+        .gate(Bound::AtLeast(MIN_SPEEDUP), Cores::AtLeast4);
+    let energy = Record::new()
+        .int("requests", REQUESTS as u64)
+        .num("joules_per_request", joules_per_request, 12)
+        .num("adc_fraction", adc_fraction, 6)
+        .num("total_pj", total_pj, 6)
+        .obj("components_pj", components);
+    let overload = Record::new()
+        .int("models", 2)
+        .int("queue_depth", 8)
+        .int("max_batch", 4)
+        .int("attempts", attempts as u64)
+        .int("completed", completed as u64)
+        .int("rejected", rejected)
+        .num("rejection_rate", rejection_rate, 3)
+        .num("requests_per_sec", overload_rps, 1);
+    Record::new()
+        .str("bench", "serve_throughput")
+        .str("model", "mini_resnet18")
+        .int("requests", REQUESTS as u64)
+        .int("workers", workers as u64)
+        .obj("requests_per_sec", requests_per_sec)
+        .arr("budgets", entries)
+        .obj("energy", energy)
+        .obj("overload", overload)
+        .write("serve");
 }

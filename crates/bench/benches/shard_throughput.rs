@@ -2,19 +2,19 @@
 //! `ShardedModel` whose dominant conv layer row-splits across simulated
 //! tiles, at 1 / 2 / 4 tiles.
 //!
-//! Run with `cargo bench --bench shard_throughput`. Writes the measured
-//! baseline to `BENCH_shard.json` at the repository root — the fourth
-//! CI-gated perf vector. To isolate *tile-level* scaling, the bench pins
-//! `RAELLA_THREADS=1` (no vector-level fan-out) and runs one image
-//! worker, so the only parallelism is the per-tile workers a split layer
-//! fans across. CI gates the WORST multi-tile config's speedup over the
-//! single tile at > 1× on 4-core runners; before timing anything, every
-//! configuration is checked bit-identical to the unsharded engine.
+//! Run with `cargo bench --bench shard_throughput`. Writes
+//! `BENCH_shard.json` at the repository root. To isolate *tile-level*
+//! scaling, the bench pins `RAELLA_THREADS=1` (no vector-level fan-out)
+//! and runs one image worker, so the only parallelism is the per-tile
+//! workers a split layer fans across. The gate holds the WORST
+//! multi-tile config's speedup over the single tile above 1× on runners
+//! with ≥ 4 cores; before timing anything, every configuration is
+//! checked bit-identical to the unsharded engine.
 
-use std::io::Write;
 use std::time::Instant;
 
 use raella_arch::tile::TileSpec;
+use raella_bench::{Bound, Cores, Record};
 use raella_core::model::CompiledModel;
 use raella_core::shard::ShardedModel;
 use raella_core::{RaellaConfig, SharedCompileCache};
@@ -30,6 +30,9 @@ const REPS: usize = 3;
 /// Crossbar/tile rows: 576-long conv filters split into exactly four row
 /// groups, so 4 tiles are perfectly balanced and 2 tiles get two each.
 const TILE_ROWS: usize = 144;
+/// Worst multi-tile speedup floor over a single tile, enforced on ≥ 4
+/// cores: sharding must beat one tile at all.
+const MIN_SPEEDUP: f64 = 1.01;
 
 /// A graph dominated by one long-filter conv: 64 in-channels × 3×3 =
 /// 576-long filters over 8×8 feature maps (64 vectors/image).
@@ -82,7 +85,7 @@ fn main() {
 
     let t0 = Instant::now();
     let model = CompiledModel::compile_with_cache(&graph, &cfg, &cache).expect("compiles");
-    let compile_s = t0.elapsed().as_secs_f64();
+    println!("compiled in {:.2}s", t0.elapsed().as_secs_f64());
     let expected = model
         .run_batch_threaded(&images, 1)
         .expect("unsharded runs");
@@ -130,9 +133,13 @@ fn main() {
             worst_speedup = worst_speedup.min(speedup);
             best_speedup = best_speedup.max(speedup);
             println!("{tiles} tiles ({split} split layers): {ips:.2} images/s (x{speedup:.2})");
-            entries.push(format!(
-                "    {{ \"tiles\": {tiles}, \"split_layers\": {split}, \"images_per_sec\": {ips:.2}, \"speedup\": {speedup:.3} }}"
-            ));
+            entries.push(
+                Record::new()
+                    .int("tiles", tiles as u64)
+                    .int("split_layers", split as u64)
+                    .num("images_per_sec", ips, 2)
+                    .num("speedup", speedup, 3),
+            );
         }
         pool = Some(sharded.into_model());
     }
@@ -142,15 +149,17 @@ fn main() {
         None => std::env::remove_var("RAELLA_THREADS"),
     }
 
-    println!(
-        "single tile {single_ips:.2} images/s; multi-tile worst x{worst_speedup:.2} / best x{best_speedup:.2} (compile {compile_s:.2}s)"
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"shard_throughput\",\n  \"model\": \"conv576_fc\",\n  \"images\": {IMAGES},\n  \"tile_rows\": {TILE_ROWS},\n  \"images_per_sec\": {{ \"single_tile\": {single_ips:.2}, \"worst_speedup\": {worst_speedup:.3}, \"best_speedup\": {best_speedup:.3} }},\n  \"tiles\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");
-    let mut f = std::fs::File::create(path).expect("create BENCH_shard.json");
-    f.write_all(json.as_bytes()).expect("write baseline");
-    println!("baseline written to BENCH_shard.json");
+    let images_per_sec = Record::new()
+        .num("single_tile", single_ips, 2)
+        .num("worst_speedup", worst_speedup, 3)
+        .gate(Bound::AtLeast(MIN_SPEEDUP), Cores::AtLeast4)
+        .num("best_speedup", best_speedup, 3);
+    Record::new()
+        .str("bench", "shard_throughput")
+        .str("model", "conv576_fc")
+        .int("images", IMAGES as u64)
+        .int("tile_rows", TILE_ROWS as u64)
+        .obj("images_per_sec", images_per_sec)
+        .arr("tiles", entries)
+        .write("shard");
 }
