@@ -166,17 +166,6 @@ impl CompiledModel {
         cfg: &RaellaConfig,
         cache: &SharedCompileCache,
     ) -> Result<Self, CoreError> {
-        Self::compile_owned(graph.clone(), cfg, cache)
-    }
-
-    /// Compilation taking graph ownership — the build path for callers
-    /// that already hold a graph by value (the server builder), avoiding
-    /// a second whole-graph clone.
-    pub(crate) fn compile_owned(
-        graph: Graph,
-        cfg: &RaellaConfig,
-        cache: &SharedCompileCache,
-    ) -> Result<Self, CoreError> {
         cfg.validate()?;
         let plan = graph.plan()?;
         let mut layers: Vec<Arc<CompiledLayer>> = Vec::new();
@@ -196,7 +185,7 @@ impl CompiledModel {
             .map(|layer| LayerPlacement::whole(0, layer))
             .collect();
         Ok(CompiledModel {
-            graph,
+            graph: graph.clone(),
             plan,
             layers,
             one_tile,
@@ -470,50 +459,12 @@ impl CompiledModel {
         Ok(fresh)
     }
 
-    /// Re-programs only the matrix layers named in `layers` (indices into
-    /// [`CompiledModel::compiled_layers`]) at `generation`, keeping every
-    /// other layer's existing programming — the targeted recalibration
-    /// primitive: refresh the over-budget layers' cells without paying the
-    /// write wear of a full-array reprogram. Each layer *index* is its own
-    /// physical array: unnamed indices keep their existing programming
-    /// even when they share a compiled `Arc` with a named one (the shared
-    /// artifact splits, exactly as distinct crossbar arrays would).
-    /// Out-of-range indices are ignored.
-    ///
-    /// Programming draws are keyed by `(seed, generation, filter, group)`
-    /// — never by which layers rode along — so a partial reprogram is
-    /// replayed exactly by [`CompiledModel::reprogram_to`] with the
-    /// resulting [`CompiledModel::layer_generations`]. The model-level
-    /// generation ([`RaellaConfig::lifetime`]) advances to `generation`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-layer compile errors (cannot happen for models built
-    /// through [`CompiledModel::compile`]).
-    pub fn reprogram_layers(&self, generation: u64, layers: &[usize]) -> Result<Self, CoreError> {
-        let targets: Vec<u64> = self
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(i, layer)| {
-                if layers.contains(&i) {
-                    generation
-                } else {
-                    layer.config().lifetime.generation
-                }
-            })
-            .collect();
-        let mut fresh = self.reprogram_to(&targets)?;
-        fresh.cfg.lifetime.generation = generation;
-        Ok(fresh)
-    }
-
     /// The programming generation of each matrix layer, in execution
     /// order. All equal after [`CompiledModel::compile`] or a full
     /// [`CompiledModel::reprogram`]; a partial
-    /// [`CompiledModel::reprogram_layers`] leaves them mixed. Feed the
-    /// vector to [`CompiledModel::reprogram_to`] to rebuild the exact
-    /// same programming state offline.
+    /// [`CompiledModel::reprogram_to`] leaves them mixed. Feed the
+    /// vector back to [`CompiledModel::reprogram_to`] to rebuild the
+    /// exact same programming state offline.
     pub fn layer_generations(&self) -> Vec<u64> {
         self.layers
             .iter()
@@ -521,10 +472,14 @@ impl CompiledModel {
             .collect()
     }
 
-    /// Re-programs each matrix layer to its own target generation — the
-    /// offline replay primitive for partially recalibrated models: compile
-    /// the base model, then `reprogram_to(&response.layer_generations())`
-    /// and run the image at the response's age. A layer already at its
+    /// Re-programs each matrix layer to its own target generation. This
+    /// is both the targeted recalibration primitive (aim the refreshed
+    /// layers at the next generation, keep every other layer's current
+    /// one) and its offline replay: compile the base model, then
+    /// `reprogram_to(&response.layer_generations())` and run the image at
+    /// the response's age. Programming draws are keyed by `(seed,
+    /// generation, filter, group)`, never by which layers rode along, so
+    /// both produce the same arrays. A layer already at its
     /// target keeps its `Arc` untouched; layers sharing an `Arc` whose
     /// targets diverge stop sharing (their draws were identical only
     /// while their generations agreed). The model-level generation
@@ -724,7 +679,7 @@ mod tests {
         let (base_out, _) = model.run_image(&image).unwrap();
 
         // Refresh only layer 1: layer 0 keeps its Arc and generation.
-        let partial = model.reprogram_layers(4, &[1]).unwrap();
+        let partial = model.reprogram_to(&[0, 4]).unwrap();
         assert_eq!(partial.layer_generations(), vec![0, 4]);
         assert_eq!(partial.config().lifetime.generation, 4);
         assert!(Arc::ptr_eq(&partial.layers[0], &model.layers[0]));
@@ -732,17 +687,15 @@ mod tests {
         let (partial_out, _) = partial.run_image(&image).unwrap();
         assert_ne!(partial_out, base_out, "fresh draw must perturb layer 1");
 
-        // reprogram_to rebuilds the exact mixed-generation state offline.
+        // Replaying the recorded generations rebuilds the exact
+        // mixed-generation state.
         let replayed = model.reprogram_to(&partial.layer_generations()).unwrap();
         let (replay_out, _) = replayed.run_image(&image).unwrap();
         assert_eq!(replay_out, partial_out);
         // Already-at-target layers keep their Arcs untouched.
         assert!(Arc::ptr_eq(&replayed.layers[0], &model.layers[0]));
 
-        // Out-of-range names are ignored; a wrong-length vector errors.
-        let noop = model.reprogram_layers(9, &[7]).unwrap();
-        let (noop_out, _) = noop.run_image(&image).unwrap();
-        assert_eq!(noop_out, base_out);
+        // A wrong-length vector errors.
         assert!(matches!(
             model.reprogram_to(&[1]),
             Err(CoreError::InvalidConfig(_))

@@ -144,11 +144,11 @@ pub enum RecalibrationAction {
         /// `None` to keep the current placement.
         map: Option<Vec<usize>>,
     },
-    /// Reprogram only the named layers
-    /// ([`crate::model::CompiledModel::reprogram_layers`]) at the next
-    /// generation; plan and device age are untouched. The mixed
-    /// programming state replays offline via
-    /// [`crate::server::Response::layer_generations`] and
+    /// Reprogram only the named layers at the next generation, keeping
+    /// every other layer's programming
+    /// ([`crate::model::CompiledModel::reprogram_to`]); plan and device
+    /// age are untouched. The mixed programming state replays offline
+    /// via [`crate::server::Response::layer_generations`] and the same
     /// [`crate::model::CompiledModel::reprogram_to`].
     ReprogramLayers {
         /// Matrix-layer indices to refresh (must be in range and

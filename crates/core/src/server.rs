@@ -120,12 +120,17 @@
 //! slicing moves from compile time to admission time: the builder
 //! precompiles a ladder of slicing variants ([`energy_config_ladder`])
 //! through the shared compile cache, and each admission picks the
-//! cheapest variant whose calibration-estimated fidelity at the current
+//! cheapest rung whose calibration-estimated fidelity at the current
 //! device age still holds the config's error budget (memoized per
-//! `(generation, drift epoch)`). Selection changes energy and latency
-//! only — the chosen variant's output is bit-identical to running that
-//! variant's config offline, and [`Response::selected_config`] records
-//! the choice so every result replays bit-for-bit.
+//! `(generation, drift epoch)`). Rung 0 is the base config itself — the
+//! model every server serves, budget or not — and every recalibration
+//! action (full reprogram, targeted refresh, remap, shrink) applies to
+//! every rung alike, so all rungs always share one generation vector.
+//! Selection changes energy and latency only — the chosen rung's output
+//! is bit-identical to running that rung's config offline, reprogrammed
+//! to the response's [`Response::layer_generations`], and
+//! [`Response::selected_config`] records the choice so every result
+//! replays bit-for-bit.
 //!
 //! # Shutdown
 //!
@@ -426,56 +431,51 @@ impl ServerBuilder {
             budgets[*model] = Some(*budget);
         }
         let mut models = Vec::with_capacity(self.models.len());
-        // Moves each builder-owned graph into its CompiledModel — no
-        // second whole-graph clone on the build path.
         let mut tile_totals = Vec::with_capacity(self.models.len());
-        for ((graph, cfg), budget) in self.models.into_iter().zip(budgets) {
-            // Slicing variants compile first (they clone the graph);
-            // the base compile below then consumes it.
-            let mut alts = Vec::new();
-            if budget.is_some() {
-                for alt_cfg in energy_config_ladder(&cfg).into_iter().skip(1) {
-                    let alt = CompiledModel::compile_with_cache(&graph, &alt_cfg, &cache)?;
+        for ((graph, cfg), budget_pj) in self.models.into_iter().zip(budgets) {
+            let ladder = if budget_pj.is_some() {
+                energy_config_ladder(&cfg)
+            } else {
+                vec![cfg]
+            };
+            let variants = ladder
+                .iter()
+                .map(|rung| {
+                    let model = CompiledModel::compile_with_cache(&graph, rung, &cache)?;
                     let plan = if self.shards > 0 {
-                        Some(Arc::new(ShardPlan::place(&alt, self.shards, tile)?))
+                        Some(Arc::new(ShardPlan::place(&model, self.shards, tile)?))
                     } else {
                         None
                     };
-                    alts.push(Variant {
-                        est_pj_per_vector: alt.estimated_vector_pj(),
-                        model: Arc::new(alt),
+                    Ok(Variant {
+                        est_pj_per_vector: model.estimated_vector_pj(),
+                        model: Arc::new(model),
                         plan,
-                    });
-                }
-            }
-            let model = CompiledModel::compile_owned(graph, &cfg, &cache)?;
-            let plan = if self.shards > 0 {
-                Some(ShardPlan::place(&model, self.shards, tile)?)
-            } else {
-                None
-            };
+                    })
+                })
+                .collect::<Result<Vec<_>, CoreError>>()?;
+            let base = &variants[0];
             // Recalibration only remaps tiles (a shrink keeps dead tiles
             // addressable), never changes the tile count, so sizing the
             // lifetime buckets once is safe.
             tile_totals.push(vec![
                 RunStats::default();
-                plan.as_ref().map_or(0, ShardPlan::tiles)
+                base.plan.as_deref().map_or(0, ShardPlan::tiles)
             ]);
             // Wear counters start at the build-time programming: placing
-            // the base model onto the array writes each tile's resident
+            // the base rung onto the array writes each tile's resident
             // cells once.
-            let tile_writes = plan
+            let tile_writes = base
+                .plan
                 .as_ref()
-                .map_or_else(Vec::new, |p| p.tile_cells(&model));
+                .map_or_else(Vec::new, |p| p.tile_cells(&base.model));
             models.push(ServedModel {
-                live: RwLock::new(LiveModel {
-                    generation: model.config().lifetime.generation,
-                    layer_gens: Arc::new(model.layer_generations()),
-                    model: Arc::new(model),
-                    plan: plan.map(Arc::new),
-                    alts,
-                    budget_pj: budget,
-                }),
+                budget_pj: budget_pj.filter(|_| variants.len() > 1),
+                live: RwLock::new(Arc::new(LiveModel {
+                    generation: base.model.config().lifetime.generation,
+                    layer_gens: Arc::new(base.model.layer_generations()),
+                    variants,
+                })),
                 recalibrating: AtomicBool::new(false),
                 vector_counts: Mutex::new(HashMap::new()),
                 selection_cache: Mutex::new(HashMap::new()),
@@ -1131,14 +1131,10 @@ impl QueueState {
     }
 }
 
-/// The swappable part of a served model: the compiled snapshot, its tile
-/// placement, and the programming generation both were built for.
-/// Recalibration replaces the whole struct atomically under the write
-/// lock; workers clone the `Arc`s once per batch under the read lock, so
-/// a swap never touches a batch already executing.
-/// One precompiled slicing variant of a served model (an
-/// [`energy_config_ladder`] entry past the base), plus its admission-time
-/// ranking estimate.
+/// One rung of a served model's slicing ladder: `variants[i]` of a
+/// [`LiveModel`] serves [`energy_config_ladder`] entry `i` (rung 0 is the
+/// base config, and the only rung when no energy budget is registered),
+/// with its tile placement and its admission-time ranking estimate.
 #[derive(Debug, Clone)]
 struct Variant {
     model: Arc<CompiledModel>,
@@ -1148,41 +1144,85 @@ struct Variant {
     est_pj_per_vector: f64,
 }
 
-#[derive(Debug, Clone)]
+impl Variant {
+    /// This rung after `action` at `generation`: reprograms every layer
+    /// (or only the named ones) and remaps, shrinks or keeps the plan.
+    /// The caller has validated `action` against the live state, and
+    /// `generation` exceeds every layer's current generation.
+    fn recalibrated(
+        &self,
+        action: &RecalibrationAction,
+        generation: u64,
+    ) -> Result<Self, CoreError> {
+        let (model, plan) = match action {
+            RecalibrationAction::None => return Ok(self.clone()),
+            RecalibrationAction::ReprogramAll { map } => {
+                let model = self.model.reprogram(generation)?;
+                let plan = match (self.plan.as_deref(), map) {
+                    (Some(p), Some(m)) => Some(Arc::new(p.remap_tiles(&model, m, p.tiles())?)),
+                    // No map: the placement carries over (the fingerprint
+                    // is structural, so the existing Arc still matches).
+                    _ => self.plan.clone(),
+                };
+                (model, plan)
+            }
+            RecalibrationAction::ReprogramLayers { layers } => {
+                let targets: Vec<u64> = self
+                    .model
+                    .layer_generations()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, g)| if layers.contains(&i) { generation } else { g })
+                    .collect();
+                // Plan carries over: a targeted refresh cures programming
+                // error in place.
+                (self.model.reprogram_to(&targets)?, self.plan.clone())
+            }
+            RecalibrationAction::Shrink { survivors } => {
+                let model = self.model.reprogram(generation)?;
+                let plan = match self.plan.as_deref() {
+                    Some(p) => Some(Arc::new(p.shrink_onto(&model, survivors)?)),
+                    None => None,
+                };
+                (model, plan)
+            }
+        };
+        Ok(Variant {
+            model: Arc::new(model),
+            plan,
+            est_pj_per_vector: self.est_pj_per_vector,
+        })
+    }
+}
+
+/// The swappable part of a served model: its slicing ladder and the
+/// programming generation every rung was built for. Recalibration
+/// replaces the whole struct atomically under the write lock; workers
+/// take one `Arc` of it per batch under the read lock, so a swap never
+/// touches a batch already executing.
+#[derive(Debug)]
 struct LiveModel {
-    model: Arc<CompiledModel>,
-    plan: Option<Arc<ShardPlan>>,
+    /// The ladder, one entry per [`energy_config_ladder`] rung (just the
+    /// base config without an energy budget). Every recalibration action
+    /// maps every rung.
+    variants: Vec<Variant>,
     generation: u64,
-    /// Per-layer programming generations of `model`
+    /// Per-layer programming generations of every rung
     /// ([`CompiledModel::layer_generations`]), shared into every
     /// [`Response`] — all equal to `generation` after full reprograms,
     /// mixed after targeted ones.
     layer_gens: Arc<Vec<u64>>,
-    /// Slicing variants for admission-time selection (ladder indices
-    /// `1..`; index 0 is the base `model`/`plan`). Empty unless
-    /// [`ServerBuilder::energy_budget_pj`] registered a budget.
-    alts: Vec<Variant>,
-    /// The per-vector energy budget selection works against, if any.
-    budget_pj: Option<f64>,
-}
-
-impl LiveModel {
-    /// Resolves a recorded ladder index to its model and plan. An
-    /// out-of-range index (cannot happen through admission — the ladder
-    /// length is fixed for the server's lifetime) degrades to the base.
-    fn variant(&self, config: usize) -> (&Arc<CompiledModel>, Option<&Arc<ShardPlan>>) {
-        match config.checked_sub(1).and_then(|i| self.alts.get(i)) {
-            Some(alt) => (&alt.model, alt.plan.as_ref()),
-            None => (&self.model, self.plan.as_ref()),
-        }
-    }
 }
 
 /// One served model: the live (swappable) snapshot plus recalibration
 /// bookkeeping.
 #[derive(Debug)]
 struct ServedModel {
-    live: RwLock<LiveModel>,
+    live: RwLock<Arc<LiveModel>>,
+    /// The per-vector energy budget admission selects against — `None`
+    /// when no budget is registered or the ladder has a single rung
+    /// (every request then runs rung 0). Never changes across a swap.
+    budget_pj: Option<f64>,
     /// Guards against concurrent recalibrations of the same model (the
     /// second caller observes `true` and backs off).
     recalibrating: AtomicBool,
@@ -1201,19 +1241,15 @@ struct ServedModel {
     failed_tiles: Mutex<Vec<usize>>,
     /// Cumulative programmed cells per tile (index = tile; empty when
     /// unsharded): build-time placement plus every recalibration's
-    /// writes under the base plan — the wear signal policies level
-    /// against. Read via [`RaellaServer::tile_writes`] and
-    /// [`ServerMetrics::tile_writes`].
+    /// writes under the rung-0 plan — the wear signal policies level
+    /// against. Read via [`ServerMetrics::tile_writes`].
     tile_writes: Mutex<Vec<u64>>,
 }
 
 impl ServedModel {
-    /// Clones the live snapshot's handles under the read lock.
-    fn snapshot(&self) -> LiveModel {
-        self.live
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+    /// The live snapshot: one refcount bump under the read lock.
+    fn snapshot(&self) -> Arc<LiveModel> {
+        Arc::clone(&self.live.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -1293,13 +1329,12 @@ impl Shared {
     /// the memo lock, never both at once with the queue's.
     fn age_advance(&self, model: usize, image: &Tensor<u8>) -> u64 {
         let served = &self.models[model];
-        let live_model = {
-            let live = served.live.read().unwrap_or_else(PoisonError::into_inner);
-            if !live.model.config().lifetime.is_drifting() {
-                return 0;
-            }
-            Arc::clone(&live.model)
-        };
+        // Every rung runs the same graph: rung 0 counts for all.
+        let live = served.snapshot();
+        let base = &live.variants[0].model;
+        if !base.config().lifetime.is_drifting() {
+            return 0;
+        }
         let key = image.shape().to_vec();
         let mut counts = served
             .vector_counts
@@ -1309,30 +1344,29 @@ impl Shared {
             return n;
         }
         // A mis-shaped image errors at execution; it ages nothing.
-        let n = live_model.vectors_per_image(image).unwrap_or(0);
+        let n = base.vectors_per_image(image).unwrap_or(0);
         counts.insert(key, n);
         n
     }
 
     /// Admission-time slicing selection for `model` at device age `age`:
-    /// returns the [`energy_config_ladder`] index whose variant serves
-    /// the request. Candidates (base included) are ranked by their
-    /// geometry estimate ascending; the cheapest whose estimate fits the
+    /// returns the [`energy_config_ladder`] index whose rung serves the
+    /// request. Rungs (base included) are ranked by their geometry
+    /// estimate ascending; the cheapest whose estimate fits the
     /// registered budget *and* whose calibration-estimated fidelity at
-    /// `age` holds the config's error budget wins. The base config
-    /// (index 0) is the fallback when nothing qualifies — correctness
-    /// over economy. Memoized per `(generation, drift epoch)`; called
-    /// *before* the queue lock (fidelity sampling is real work).
+    /// `age` holds the config's error budget wins. A sampling error
+    /// counts as a failed check (the rung is skipped, never served
+    /// blind). Rung 0, the base config, is the fallback when nothing
+    /// qualifies — correctness over economy. Memoized per `(generation,
+    /// drift epoch)`; called *before* the queue lock (fidelity sampling
+    /// is real work).
     fn select_config(&self, model: usize, age: u64) -> usize {
         let served = &self.models[model];
-        let live = served.snapshot();
-        let Some(budget) = live.budget_pj else {
+        let Some(budget) = served.budget_pj else {
             return 0;
         };
-        if live.alts.is_empty() {
-            return 0;
-        }
-        let epoch = live.model.config().lifetime.drift_epoch(age);
+        let live = served.snapshot();
+        let epoch = live.variants[0].model.config().lifetime.drift_epoch(age);
         let key = (live.generation, epoch);
         {
             let cache = served
@@ -1343,27 +1377,22 @@ impl Shared {
                 return selected;
             }
         }
-        let mut candidates: Vec<(usize, f64)> =
-            std::iter::once((0usize, live.model.estimated_vector_pj()))
-                .chain(
-                    live.alts
-                        .iter()
-                        .enumerate()
-                        .map(|(i, alt)| (i + 1, alt.est_pj_per_vector)),
-                )
-                .collect();
+        let mut candidates: Vec<(usize, f64)> = live
+            .variants
+            .iter()
+            .map(|v| v.est_pj_per_vector)
+            .enumerate()
+            .collect();
         candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut selected = 0usize;
-        for (idx, est) in candidates {
-            if est > budget {
-                continue;
-            }
-            let (vmodel, _) = live.variant(idx);
-            if variant_fidelity_holds(vmodel, self.watchdog_vectors, age) {
-                selected = idx;
-                break;
-            }
-        }
+        let selected = candidates
+            .into_iter()
+            .find(|&(idx, est)| {
+                est <= budget
+                    && fidelity_breaches(&live.variants[idx].model, self.watchdog_vectors, age)
+                        .next()
+                        .is_none()
+            })
+            .map_or(0, |(idx, _)| idx);
         served
             .selection_cache
             .lock()
@@ -1373,54 +1402,63 @@ impl Shared {
     }
 
     /// [`Shared::select_config`] at the model's current device age.
-    /// Fast-exits without touching the queue lock when no budget is
-    /// registered (the overwhelmingly common case). The age read races
-    /// concurrent admissions harmlessly: selection is epoch-granular,
-    /// and the chosen index rides in the [`Response`] so offline replay
-    /// is exact either way.
+    /// Fast-exits without touching any lock when no budget is registered
+    /// (the overwhelmingly common case). The age read races concurrent
+    /// admissions harmlessly: selection is epoch-granular, and the chosen
+    /// index rides in the [`Response`] so offline replay is exact either
+    /// way.
     fn select_config_now(&self, model: usize) -> usize {
-        {
-            let served = &self.models[model];
-            let live = served.live.read().unwrap_or_else(PoisonError::into_inner);
-            if live.budget_pj.is_none() || live.alts.is_empty() {
-                return 0;
-            }
+        if self.models[model].budget_pj.is_none() {
+            return 0;
         }
         let age = self.lock().ages[model];
         self.select_config(model, age)
     }
 }
 
-/// Whether every unique compiled layer of `model` still holds the
-/// config's error budget at device age `age`, per
-/// [`crate::compiler::CompiledLayer::check_fidelity_at_age`] sampling —
-/// the admission-time calibration check behind
-/// [`ServerBuilder::energy_budget_pj`]. A sampling error counts as a
-/// failed check (the variant is skipped, never served blind).
-fn variant_fidelity_holds(model: &CompiledModel, vectors: usize, age: u64) -> bool {
+/// Every matrix layer of `model` whose fidelity at device age `age`
+/// exceeds the config's error budget, in execution order. Each unique
+/// compiled layer is sampled once
+/// ([`crate::compiler::CompiledLayer::check_fidelity_at_age`] over
+/// `vectors` test vectors) and every index sharing it is reported, so a
+/// targeted reprogram covers them all. Lazy: a caller that only asks
+/// whether anything breaches stops sampling at the first breach.
+fn fidelity_breaches(
+    model: &CompiledModel,
+    vectors: usize,
+    age: u64,
+) -> impl Iterator<Item = Result<LayerBreach, CoreError>> + '_ {
     let budget = model.config().error_budget;
-    let mut checked: Vec<*const crate::compiler::CompiledLayer> = Vec::new();
-    for (mat, compiled) in model
+    let mut sampled: Vec<(*const crate::compiler::CompiledLayer, Option<f64>)> = Vec::new();
+    model
         .graph()
         .matrix_layers()
         .into_iter()
         .zip(model.compiled_layers())
-    {
-        let ptr = Arc::as_ptr(compiled);
-        if checked.contains(&ptr) {
-            continue;
-        }
-        checked.push(ptr);
-        match compiled.check_fidelity_at_age(mat, vectors, age) {
-            Ok(report) => {
-                if !report.within_budget(budget) {
-                    return false;
+        .enumerate()
+        .filter_map(move |(layer, (mat, compiled))| {
+            let ptr = Arc::as_ptr(compiled);
+            let over = match sampled.iter().find(|(p, _)| *p == ptr) {
+                Some(&(_, over)) => over,
+                None => {
+                    let report = match compiled.check_fidelity_at_age(mat, vectors, age) {
+                        Ok(report) => report,
+                        Err(e) => return Some(Err(e)),
+                    };
+                    let over = (!report.within_budget(budget)).then_some(report.mean_abs_error);
+                    sampled.push((ptr, over));
+                    over
                 }
-            }
-            Err(_) => return false,
-        }
-    }
-    true
+            };
+            over.map(|mean_abs_error| {
+                Ok(LayerBreach {
+                    layer,
+                    name: compiled.name().to_string(),
+                    mean_abs_error,
+                    budget,
+                })
+            })
+        })
 }
 
 /// What a worker should do with the queue.
@@ -1532,22 +1570,23 @@ fn worker_loop(shared: &Shared) {
             // Re-checked per image: siblings may pick up or finish work
             // mid-batch.
             let alone = shared.busy.load(Ordering::Relaxed) == 1;
-            // Admission-selected slicing variant (index 0 = the base
-            // model). Resolved per request: a selection-epoch boundary
-            // can land mid-batch. An unsharded variant runs its one-tile
-            // placement through the same path as a sharded one; split
-            // layers fan across one worker per involved tile when this
-            // worker is the only busy one — "each tile gets its own
-            // worker"; otherwise request-level parallelism already covers
-            // the cores. Either way the bytes and merged stats are
-            // identical to the unsharded model.
-            let (vmodel, vplan) = live.variant(req.config);
-            let (placements, tiles) = match vplan {
+            // Admission-selected ladder rung (rung 0 = the base config).
+            // Resolved per request: a selection-epoch boundary can land
+            // mid-batch. An unsharded rung runs its one-tile placement
+            // through the same path as a sharded one; split layers fan
+            // across one worker per involved tile when this worker is the
+            // only busy one — "each tile gets its own worker"; otherwise
+            // request-level parallelism already covers the cores. Either
+            // way the bytes and merged stats are identical to the
+            // unsharded model.
+            let rung = &live.variants[req.config];
+            let (placements, tiles) = match &rung.plan {
                 Some(plan) => (plan.placements(), plan.tiles()),
-                None => (vmodel.one_tile_placement(), 1),
+                None => (rung.model.one_tile_placement(), 1),
             };
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                vmodel.run_placed(placements, tiles, &req.image, &mut arena, alone, req.age)
+                rung.model
+                    .run_placed(placements, tiles, &req.image, &mut arena, alone, req.age)
             }))
             .unwrap_or_else(|_| {
                 Err(CoreError::Server(format!(
@@ -1561,7 +1600,7 @@ fn worker_loop(shared: &Shared) {
                     stats.merge(bucket);
                 }
                 // Per-tile reporting is for sharded models only.
-                if vplan.is_none() {
+                if rung.plan.is_none() {
                     tile_stats = Vec::new();
                 }
                 if !tile_stats.is_empty() {
@@ -1577,7 +1616,7 @@ fn worker_loop(shared: &Shared) {
                 // breakdowns below sum bit-exactly to `energy` because
                 // the meter prices the merged counters, never sums
                 // priced floats.
-                let meter = vmodel.energy_meter();
+                let meter = rung.model.energy_meter();
                 let energy = meter.breakdown(&stats.meter_events());
                 let tile_energy: Vec<EnergyBreakdown> = tile_stats
                     .iter()
@@ -1656,53 +1695,24 @@ fn plan_touches(plan: Option<&ShardPlan>, failed: &[usize]) -> bool {
 fn watchdog_check(shared: &Shared, model: usize) -> Result<bool, CoreError> {
     let served = &shared.models[model];
     let live = served.snapshot();
+    let base = &live.variants[0];
     let failed = served
         .failed_tiles
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    let dirty = plan_touches(live.plan.as_deref(), &failed);
-    let drifting = live.model.config().lifetime.is_drifting();
+    let dirty = plan_touches(base.plan.as_deref(), &failed);
+    let drifting = base.model.config().lifetime.is_drifting();
     if !drifting && !dirty {
         return Ok(false);
     }
-    let mut breaches = Vec::new();
-    if drifting {
+    let breaches = if drifting {
         let age = shared.lock().ages[model];
-        let budget = live.model.config().error_budget;
-        // One fidelity sample per unique compiled layer; every index
-        // sharing the artifact is reported, so a targeted reprogram
-        // covers them all.
-        let mut sampled: Vec<(*const crate::compiler::CompiledLayer, Option<f64>)> = Vec::new();
-        for (i, (mat, compiled)) in live
-            .model
-            .graph()
-            .matrix_layers()
-            .into_iter()
-            .zip(live.model.compiled_layers())
-            .enumerate()
-        {
-            let ptr = Arc::as_ptr(compiled);
-            let over = match sampled.iter().find(|(p, _)| *p == ptr) {
-                Some((_, over)) => *over,
-                None => {
-                    let report =
-                        compiled.check_fidelity_at_age(mat, shared.watchdog_vectors, age)?;
-                    let over = (!report.within_budget(budget)).then_some(report.mean_abs_error);
-                    sampled.push((ptr, over));
-                    over
-                }
-            };
-            if let Some(mean_abs_error) = over {
-                breaches.push(LayerBreach {
-                    layer: i,
-                    name: compiled.name().to_string(),
-                    mean_abs_error,
-                    budget,
-                });
-            }
-        }
-    }
+        fidelity_breaches(&base.model, shared.watchdog_vectors, age)
+            .collect::<Result<Vec<_>, CoreError>>()?
+    } else {
+        Vec::new()
+    };
     if breaches.is_empty() && !dirty {
         return Ok(false);
     }
@@ -1752,6 +1762,7 @@ fn consult_policy(
 ) -> Result<bool, CoreError> {
     let served = &shared.models[model];
     let live = served.snapshot();
+    let base = &live.variants[0];
     let failed = served
         .failed_tiles
         .lock()
@@ -1763,89 +1774,57 @@ fn consult_policy(
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
     let age = shared.lock().ages[model];
-    let tile_cells = live
+    let tile_cells = base
         .plan
         .as_deref()
-        .map_or_else(Vec::new, |p| p.tile_cells(&live.model));
+        .map_or_else(Vec::new, |p| p.tile_cells(&base.model));
     let action = shared.policy.decide(&RecalContext {
         model,
         generation: live.generation,
         age,
-        drift_epoch: live.model.config().lifetime.drift_epoch(age),
+        drift_epoch: base.model.config().lifetime.drift_epoch(age),
         trigger,
         breaches,
-        layer_count: live.model.compiled_layers().len(),
+        layer_count: base.model.compiled_layers().len(),
         tile_writes: &tile_writes,
         tile_cells: &tile_cells,
         failed_tiles: &failed,
-        plan: live.plan.as_deref(),
+        plan: base.plan.as_deref(),
     });
-    apply_action(shared, model, &live, &failed, action)
+    apply_action(shared, model, &live, &failed, &action)
 }
 
 /// Applies a policy's [`RecalibrationAction`] to the live snapshot:
-/// validates it against the failure set, reprograms, rebuilds plans, and
-/// installs the result under the write lock. The caller holds the
-/// per-model recalibration guard.
+/// validates it once against rung 0 and the failure set (every rung
+/// shares the graph and the shard count), maps every ladder rung through
+/// [`Variant::recalibrated`], and installs the result under the write
+/// lock. The caller holds the per-model recalibration guard.
 fn apply_action(
     shared: &Shared,
     model: usize,
     live: &LiveModel,
     failed: &[usize],
-    action: RecalibrationAction,
+    action: &RecalibrationAction,
 ) -> Result<bool, CoreError> {
     let served = &shared.models[model];
-    let generation = live.generation + 1;
-    let (fresh, plan, alts, reset_age, shrunk, written) = match action {
+    let base = &live.variants[0];
+    match action {
         RecalibrationAction::None => return Ok(false),
-        RecalibrationAction::ReprogramAll { map } => {
-            if let Some(m) = &map {
-                if live.plan.is_none() {
-                    return Err(CoreError::Server(
-                        "recalibration policy returned a tile map for an unsharded model".into(),
-                    ));
-                }
-                if let Some((src, dst)) = m.iter().enumerate().find(|(_, dst)| failed.contains(dst))
-                {
-                    return Err(CoreError::Server(format!(
-                        "recalibration policy mapped tile {src} onto failed tile {dst}"
-                    )));
-                }
+        RecalibrationAction::ReprogramAll { map: None } => {}
+        RecalibrationAction::ReprogramAll { map: Some(map) } => {
+            if base.plan.is_none() {
+                return Err(CoreError::Server(
+                    "recalibration policy returned a tile map for an unsharded model".into(),
+                ));
             }
-            let fresh = live.model.reprogram(generation)?;
-            let plan = match (live.plan.as_deref(), &map) {
-                (Some(p), Some(m)) => Some(Arc::new(p.remap_tiles(&fresh, m, p.tiles())?)),
-                // No map: the placement carries over (the fingerprint is
-                // structural, so the existing Arc still matches).
-                (Some(_), None) => live.plan.clone(),
-                _ => None,
-            };
-            // Budget variants follow the swap: same generation, fresh
-            // programming draw, same remap. The geometry estimate is
-            // slicing-only, so it carries over unchanged.
-            let mut alts = Vec::with_capacity(live.alts.len());
-            for alt in &live.alts {
-                let fresh_alt = alt.model.reprogram(generation)?;
-                let alt_plan = match (alt.plan.as_deref(), &map) {
-                    (Some(p), Some(m)) => {
-                        Some(Arc::new(p.remap_tiles(&fresh_alt, m, p.tiles())?))
-                    }
-                    (Some(_), None) => alt.plan.clone(),
-                    _ => None,
-                };
-                alts.push(Variant {
-                    model: Arc::new(fresh_alt),
-                    plan: alt_plan,
-                    est_pj_per_vector: alt.est_pj_per_vector,
-                });
+            if let Some((src, dst)) = map.iter().enumerate().find(|(_, dst)| failed.contains(dst)) {
+                return Err(CoreError::Server(format!(
+                    "recalibration policy mapped tile {src} onto failed tile {dst}"
+                )));
             }
-            let written = plan
-                .as_deref()
-                .map_or_else(Vec::new, |p| p.tile_cells(&fresh));
-            (fresh, plan, alts, true, false, written)
         }
         RecalibrationAction::ReprogramLayers { layers } => {
-            let count = live.model.compiled_layers().len();
+            let count = base.model.compiled_layers().len();
             if layers.is_empty() {
                 return Err(CoreError::Server(
                     "recalibration policy named no layers to reprogram".into(),
@@ -1856,64 +1835,42 @@ fn apply_action(
                     "recalibration policy named layer {bad}, model has {count}"
                 )));
             }
-            let fresh = live.model.reprogram_layers(generation, &layers)?;
-            let mut alts = Vec::with_capacity(live.alts.len());
-            for alt in &live.alts {
-                alts.push(Variant {
-                    model: Arc::new(alt.model.reprogram_layers(generation, &layers)?),
-                    plan: alt.plan.clone(),
-                    est_pj_per_vector: alt.est_pj_per_vector,
-                });
-            }
-            let written = live
-                .plan
-                .as_deref()
-                .map_or_else(Vec::new, |p| p.tile_cells_for_layers(&fresh, &layers));
-            // Plan and device age carry over: a targeted refresh cures
-            // programming error in place while relaxation keeps accruing.
-            (fresh, live.plan.clone(), alts, false, false, written)
         }
         RecalibrationAction::Shrink { survivors } => {
-            let Some(p) = live.plan.as_deref() else {
+            if base.plan.is_none() {
                 return Err(CoreError::Server(
                     "cannot shrink an unsharded model onto surviving tiles".into(),
                 ));
-            };
+            }
             if let Some(bad) = survivors.iter().find(|t| failed.contains(t)) {
                 return Err(CoreError::Server(format!(
                     "recalibration policy kept failed tile {bad} in the survivor list"
                 )));
             }
-            let fresh = live.model.reprogram(generation)?;
-            let plan = Some(Arc::new(p.shrink_onto(&fresh, &survivors)?));
-            let mut alts = Vec::with_capacity(live.alts.len());
-            for alt in &live.alts {
-                let fresh_alt = alt.model.reprogram(generation)?;
-                let alt_plan = match alt.plan.as_deref() {
-                    Some(ap) => Some(Arc::new(ap.shrink_onto(&fresh_alt, &survivors)?)),
-                    None => None,
-                };
-                alts.push(Variant {
-                    model: Arc::new(fresh_alt),
-                    plan: alt_plan,
-                    est_pj_per_vector: alt.est_pj_per_vector,
-                });
-            }
-            let written = plan
-                .as_deref()
-                .map_or_else(Vec::new, |p| p.tile_cells(&fresh));
-            (fresh, plan, alts, true, true, written)
         }
+    }
+    let generation = live.generation + 1;
+    let variants = live
+        .variants
+        .iter()
+        .map(|rung| rung.recalibrated(action, generation))
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    // Wear is accounted under rung 0's (new) plan.
+    let fresh = &variants[0];
+    let written = match (fresh.plan.as_deref(), action) {
+        (None, _) => Vec::new(),
+        (Some(p), RecalibrationAction::ReprogramLayers { layers }) => {
+            p.tile_cells_for_layers(&fresh.model, layers)
+        }
+        (Some(p), _) => p.tile_cells(&fresh.model),
     };
-    *served.live.write().unwrap_or_else(PoisonError::into_inner) = LiveModel {
-        layer_gens: Arc::new(fresh.layer_generations()),
-        model: Arc::new(fresh),
-        plan,
+    let layer_gens = Arc::new(fresh.model.layer_generations());
+    *served.live.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(LiveModel {
+        variants,
         generation,
-        alts,
-        budget_pj: live.budget_pj,
-    };
-    if reset_age {
+        layer_gens,
+    });
+    if !matches!(action, RecalibrationAction::ReprogramLayers { .. }) {
         // Relaxation is drift since the last programming: a fresh
         // generation starts at age 0 (epoch 0 replays the static noise
         // streams bit-for-bit). A targeted refresh keeps the age — its
@@ -1930,7 +1887,7 @@ fn apply_action(
         }
     }
     shared.recalibrations.fetch_add(1, Ordering::SeqCst);
-    if shrunk {
+    if matches!(action, RecalibrationAction::Shrink { .. }) {
         shared.shrink_recalibrations.fetch_add(1, Ordering::SeqCst);
     }
     Ok(true)
@@ -2437,27 +2394,29 @@ impl RaellaServer {
         }
     }
 
-    /// The live compiled model at `index` — a snapshot handle: a
-    /// recalibration swap replaces the server's copy but never mutates
-    /// the one returned here.
+    /// The live base compiled model at `index` (ladder rung 0) — a
+    /// snapshot handle: a recalibration swap replaces the server's copy
+    /// but never mutates the one returned here.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range (see
     /// [`RaellaServer::model_count`]).
     pub fn model(&self, index: usize) -> Arc<CompiledModel> {
-        Arc::clone(&self.shared.models[index].snapshot().model)
+        Arc::clone(&self.shared.models[index].snapshot().variants[0].model)
     }
 
-    /// The live tile placement of the model at `index`, if the server is
-    /// sharded ([`ServerBuilder::shards`]) — a snapshot handle, like
-    /// [`RaellaServer::model`].
+    /// The live tile placement of the base model at `index` (ladder
+    /// rung 0), if the server is sharded ([`ServerBuilder::shards`]) — a
+    /// snapshot handle, like [`RaellaServer::model`].
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn shard_plan(&self, index: usize) -> Option<Arc<ShardPlan>> {
-        self.shared.models[index].snapshot().plan
+        self.shared.models[index].snapshot().variants[0]
+            .plan
+            .clone()
     }
 
     /// Programming generation of the live model at `index` (increments
@@ -2527,7 +2486,7 @@ impl RaellaServer {
         self.check_model(index)?;
         let served = &self.shared.models[index];
         let live = served.snapshot();
-        let Some(plan) = live.plan.as_deref() else {
+        let Some(plan) = live.variants[0].plan.as_deref() else {
             return Err(CoreError::Server(format!(
                 "model {index} is unsharded: no tile to fail"
             )));
@@ -2549,40 +2508,6 @@ impl RaellaServer {
             }
         }
         recalibrate_model(&self.shared, index, RecalTrigger::Fault, &[])
-    }
-
-    /// Tiles of the model at `index` reported dead via
-    /// [`RaellaServer::fail_tile`] so far, ascending (empty for an
-    /// unsharded model or while everything is healthy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn failed_tiles(&self, index: usize) -> Vec<usize> {
-        assert!(index < self.shared.models.len(), "no model {index}");
-        self.shared.models[index]
-            .failed_tiles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Cumulative programmed cells per tile for the model at `index`
-    /// (index = tile; empty for an unsharded model): the build-time
-    /// placement plus every recalibration's writes under the base plan —
-    /// the wear signal [`crate::policy::WearAwarePolicy`] levels
-    /// against. Also surfaced by [`ServerMetrics::tile_writes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn tile_writes(&self, index: usize) -> Vec<u64> {
-        assert!(index < self.shared.models.len(), "no model {index}");
-        self.shared.models[index]
-            .tile_writes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// Per-tile statistics aggregated over every request the model at

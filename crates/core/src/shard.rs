@@ -458,8 +458,9 @@ impl ShardPlan {
 
     /// Programmed cells per tile counting only the named layers — the
     /// write cost of a *partial* reprogram
-    /// ([`CompiledModel::reprogram_layers`]) that refreshes just those
-    /// layers in place. Layer indices out of range are ignored.
+    /// ([`CompiledModel::reprogram_to`] with only those layers' targets
+    /// moved) that refreshes just those layers in place. Layer indices
+    /// out of range are ignored.
     pub fn tile_cells_for_layers(&self, model: &CompiledModel, layers: &[usize]) -> Vec<u64> {
         let compiled = model.compiled_layers();
         let mut cells = vec![0u64; self.tiles];

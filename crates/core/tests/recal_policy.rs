@@ -2,19 +2,21 @@
 //! the server's recalibration machinery — targeted per-layer refreshes
 //! replay offline through `reprogram_to(layer_generations)`, the
 //! wear-aware policy's writes are accounted per tile, a declining policy
-//! leaves the generation alone, and malformed actions (survivor lists
-//! keeping a failed tile, empty or out-of-range layer lists) surface as
-//! errors instead of corrupting the live plan.
+//! leaves the generation alone, energy-budget ladder rungs follow every
+//! action kind and replay from their own rung, and malformed actions
+//! (survivor lists keeping a failed tile, empty or out-of-range layer
+//! lists) surface as errors instead of corrupting the live plan.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use raella_arch::tile::TileSpec;
 use raella_core::compiler::SharedCompileCache;
 use raella_core::model::CompiledModel;
-use raella_core::server::RaellaServer;
+use raella_core::server::{energy_config_ladder, RaellaServer};
 use raella_core::{
     DeviceLifetime, RaellaConfig, RecalContext, RecalTrigger, RecalibrationAction,
-    RecalibrationPolicy,
+    RecalibrationPolicy, RotatePolicy,
 };
 use raella_nn::graph::Graph;
 use raella_nn::rng::SynthRng;
@@ -146,7 +148,7 @@ fn targeted_refresh_swaps_one_layer_and_replays_via_layer_generations() {
 
     let age_before = server.device_age(0);
     assert!(age_before > 0, "drifting traffic must age the device");
-    let writes_before = server.tile_writes(0);
+    let writes_before = server.metrics().tile_writes()[0].clone();
     assert!(
         server.recalibrate(0).expect("manual recalibration"),
         "the policy ordered a refresh"
@@ -162,7 +164,7 @@ fn targeted_refresh_swaps_one_layer_and_replays_via_layer_generations() {
     let live_model = server.model(0);
     let live_plan = server.shard_plan(0).expect("sharded");
     let expected_delta = live_plan.tile_cells_for_layers(&live_model, &[0]);
-    let writes_after = server.tile_writes(0);
+    let writes_after = server.metrics().tile_writes()[0].clone();
     for (t, (after, before)) in writes_after.iter().zip(&writes_before).enumerate() {
         assert_eq!(
             after - before,
@@ -218,7 +220,7 @@ fn wear_aware_policy_accounts_full_reprogram_writes_per_tile() {
         .expect("completes");
     assert_eq!(before.generation(), 0);
 
-    let writes_before = server.tile_writes(0);
+    let writes_before = server.metrics().tile_writes()[0].clone();
     assert!(server.recalibrate(0).expect("manual recalibration"));
     assert_eq!(server.generation(0), 1);
 
@@ -227,11 +229,10 @@ fn wear_aware_policy_accounts_full_reprogram_writes_per_tile() {
     let live_model = server.model(0);
     let live_plan = server.shard_plan(0).expect("sharded");
     let delta = live_plan.tile_cells(&live_model);
-    let writes_after = server.tile_writes(0);
+    let writes_after = server.metrics().tile_writes()[0].clone();
     for (t, (after, bef)) in writes_after.iter().zip(&writes_before).enumerate() {
         assert_eq!(after - bef, delta[t], "tile {t} wear delta");
     }
-    assert_eq!(server.metrics().tile_writes()[0], writes_after);
 
     let after = server
         .submit(img.clone())
@@ -306,7 +307,7 @@ fn malformed_actions_error_without_corrupting_the_live_plan() {
     );
     // …and the failure stays recorded for the next (sane) consultation,
     // while the live plan is untouched.
-    assert_eq!(server.failed_tiles(0), vec![1]);
+    assert_eq!(server.metrics().failed_tiles()[0], vec![1]);
     assert_eq!(server.generation(0), 0);
     let plan = server.shard_plan(0).expect("sharded");
     assert!(plan.tile_views(&server.model(0))[1].cells() > 0);
@@ -326,6 +327,112 @@ fn malformed_actions_error_without_corrupting_the_live_plan() {
         );
         assert_eq!(server.generation(0), 0);
         server.shutdown();
+    }
+}
+
+/// [`RotatePolicy`] until switched, then [`RefreshLayers`] — lets one
+/// server run every action kind in a scripted order.
+#[derive(Debug)]
+struct RotateOrRefresh {
+    refresh: AtomicBool,
+    layers: RefreshLayers,
+}
+
+impl RecalibrationPolicy for RotateOrRefresh {
+    fn decide(&self, ctx: &RecalContext<'_>) -> RecalibrationAction {
+        if self.refresh.load(Ordering::SeqCst) {
+            self.layers.decide(ctx)
+        } else {
+            RotatePolicy.decide(ctx)
+        }
+    }
+}
+
+#[test]
+fn budget_selected_rungs_follow_every_recalibration_action() {
+    // A sharded, drifting server with an unlimited energy budget: each
+    // admission picks the cheapest ladder rung that still holds the error
+    // budget, and every recalibration action must carry every rung along.
+    // The loosened error budget makes the adaptive base slicing dearer
+    // than the fixed 4-4 rung while that rung still holds the budget.
+    let drift_cfg = RaellaConfig {
+        error_budget: 0.15,
+        ..cfg()
+    }
+    .with_noise(0.03)
+    .with_lifetime(DeviceLifetime::new(0.02, 0.002, 64));
+    let ladder = energy_config_ladder(&drift_cfg);
+    assert!(ladder.len() > 1, "the config must offer cheaper rungs");
+    let cache = SharedCompileCache::new();
+    let policy = Arc::new(RotateOrRefresh {
+        refresh: AtomicBool::new(false),
+        layers: RefreshLayers(vec![0]),
+    });
+    let server = builder(&drift_cfg, &cache)
+        .energy_budget_pj(0, f64::MAX)
+        .recalibration_policy(Arc::clone(&policy))
+        .build()
+        .expect("server builds");
+
+    let pool: Vec<Tensor<u8>> = (0..4u64).map(image).collect();
+    let mut log = Vec::new();
+    let serve = |log: &mut Vec<(usize, raella_core::Response)>| {
+        for (i, img) in pool.iter().enumerate() {
+            let resp = server
+                .submit(img.clone())
+                .expect("admits")
+                .wait()
+                .expect("completes");
+            log.push((i, resp));
+        }
+    };
+
+    serve(&mut log);
+    // ReprogramAll with a rotate map (the default policy, manual trigger).
+    assert!(server.recalibrate(0).expect("rotate"));
+    serve(&mut log);
+    // ReprogramLayers: refresh layer 0 only.
+    policy.refresh.store(true, Ordering::SeqCst);
+    assert!(server.recalibrate(0).expect("targeted refresh"));
+    policy.refresh.store(false, Ordering::SeqCst);
+    serve(&mut log);
+    // Shrink: the default policy reroutes around a dead tile.
+    assert!(server.fail_tile(0, 1).expect("shrink"));
+    serve(&mut log);
+    server.shutdown();
+
+    assert_eq!(server.generation(0), 3);
+    assert_eq!(server.metrics().shrink_recalibrations(), 1);
+    let generations: Vec<u64> = log.iter().map(|(_, r)| r.generation()).collect();
+    assert_eq!(generations, [[0; 4], [1; 4], [2; 4], [3; 4]].concat());
+    assert_eq!(log[8].1.layer_generations(), &[2, 1]);
+    for (phase, served) in log.chunks(pool.len()).enumerate() {
+        assert!(
+            served.iter().any(|(_, r)| r.selected_config() > 0),
+            "phase {phase}: some admission must select a rung past the base"
+        );
+    }
+
+    // Every response replays from its ladder rung, reprogrammed to its
+    // per-layer generations, at its device age.
+    let rungs: Vec<CompiledModel> = ladder
+        .iter()
+        .map(|c| CompiledModel::compile(&graph(), c).expect("rung compiles"))
+        .collect();
+    for (k, (i, resp)) in log.iter().enumerate() {
+        let reference = rungs[resp.selected_config()]
+            .reprogram_to(resp.layer_generations())
+            .expect("per-layer replay model");
+        let (want, want_stats) = reference
+            .run_image_at_age(&pool[*i], resp.age())
+            .expect("replay runs");
+        assert_eq!(resp.output(), &want, "response {k} output");
+        assert_eq!(resp.stats(), &want_stats, "response {k} stats");
+        assert_eq!(
+            resp.energy(),
+            &reference.energy_breakdown(&want_stats),
+            "response {k} energy"
+        );
     }
 }
 
@@ -349,7 +456,7 @@ fn fail_tile_validates_model_plan_and_tile() {
     assert!(server.fail_tile(0, 99).is_err(), "tile 99 does not exist");
     assert!(server.fail_tile(0, 0).expect("first failure shrinks"));
     assert!(server.fail_tile(0, 2).expect("second failure shrinks"));
-    assert_eq!(server.failed_tiles(0), vec![0, 2]);
+    assert_eq!(server.metrics().failed_tiles()[0], vec![0, 2]);
     let views = server
         .shard_plan(0)
         .expect("sharded")

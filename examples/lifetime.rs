@@ -154,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "per-tile programming wear after the drill: {:?}",
-        server.tile_writes(0)
+        server.metrics().tile_writes()[0]
     );
     server.shutdown();
     Ok(())
